@@ -6,6 +6,14 @@ over F_p (columns in graded lex monomial order) and its nullspace yields an
 annihilator. A sampled mode replaces the astronomically tall symbolic matrix
 with rows of point evaluations; soundness is restored by mandatory symbolic
 verification of the returned polynomial.
+
+The nullspace comes from an exact blocked elimination mod p. Blocks of rows
+are reduced against the echelon rows found so far, and those rows against
+each new block, by float64 matmuls (BLAS). A float64 sum of integers is
+exact below 2**53, so each matmul adds at most k products of residues with
+k * (p - 1)**2 < 2**53; moduli with (p - 1)**2 >= 2**53 are split into
+16-bit limbs first. Row operations inside a block run in int64. Every prime
+p with p * p < 2**62 (up to 2**31 - 1) is supported.
 """
 
 from __future__ import annotations
@@ -25,7 +33,11 @@ class ResourceLimitError(RuntimeError):
     """Symbolic matrix would be too tall; caller should switch to sampled mode."""
 
 
-class SampledVerificationError(RuntimeError):
+class VerificationError(RuntimeError):
+    """A kernel vector failed symbolic verification: Q o P != 0."""
+
+
+class SampledVerificationError(VerificationError):
     """Sampled-mode kernel vectors repeatedly failed symbolic verification."""
 
 
@@ -128,24 +140,6 @@ def existence_degree_bound(m: int, d: int, N: int, cap: int = DEGREE_SEARCH_CAP)
     return None
 
 
-def _monomial_values(basis, point, p):
-    """Evaluate every basis monomial at a point, with a per-variable power table."""
-    nvars = len(point)
-    max_deg = max((max(e) for e in basis), default=0)
-    pows = [[1] * (max_deg + 1) for _ in range(nvars)]
-    for i in range(nvars):
-        for j in range(1, max_deg + 1):
-            pows[i][j] = pows[i][j - 1] * point[i] % p
-    out = []
-    for e in basis:
-        v = 1
-        for i, ei in enumerate(e):
-            if ei:
-                v = v * pows[i][ei] % p
-        out.append(v)
-    return out
-
-
 def composition_matrix_symbolic(pmap: PolyMap, D: int, row_cap: int = DEFAULT_ROW_CAP):
     """Matrix of Q -> Q o P: columns indexed by monomial_basis(N, D), rows by
     the monomials of F_p[x_1..x_m] up to degree deg(P)*D that actually occur.
@@ -180,16 +174,87 @@ def composition_matrix_symbolic(pmap: PolyMap, D: int, row_cap: int = DEFAULT_RO
 
 def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     """Row t holds the values of every degree-<=D monomial at P(beta_t) for a
-    seeded random beta_t; deterministic given the seed."""
+    seeded random beta_t; deterministic given the seed.
+
+    Each column is its graded-lex parent column (the exponent minus one in its
+    first nonzero variable) times that variable's values.
+    """
     p = pmap.field.p
+    if p * p >= 2**63:
+        raise ValueError("modulus too large for the int64 sampled build")
     basis = monomial_basis(pmap.out_arity, D)
     rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
-    A = np.zeros((rows, len(basis)), dtype=np.int64)
-    for t in range(rows):
-        beta = [rng.randrange(p) for _ in range(pmap.in_arity)]
-        point = pmap.evaluate(beta)
-        A[t, :] = _monomial_values(basis, point, p)
-    return A, basis
+    # coords[i, t] is coordinate i of P(beta_t)
+    coords = np.array(
+        [pmap.evaluate([rng.randrange(p) for _ in range(pmap.in_arity)]) for _ in range(rows)],
+        dtype=np.int64,
+    ).reshape(rows, pmap.out_arity).T
+    index = {e: j for j, e in enumerate(basis)}
+    cols = np.empty((len(basis), rows), dtype=np.int64)
+    cols[0] = 1  # basis[0] is the constant monomial
+    for j in range(1, len(basis)):
+        e = basis[j]
+        i = next(i for i, ei in enumerate(e) if ei)
+        parent = index[e[:i] + (e[i] - 1,) + e[i + 1:]]
+        np.multiply(cols[parent], coords[i], out=cols[j])
+        cols[j] %= p
+    return np.ascontiguousarray(cols.T), basis
+
+
+# Rows of the input taken per block of the elimination in kernel().
+_BLOCK_ROWS = 64
+# Every integer of magnitude below 2**53 is exact in float64.
+_FLOAT_EXACT = 2**53
+
+
+def _dot_mod(A, B, bound: int, p: int):
+    """(A @ B) mod p as int64, for float64 arrays of integers in [0, bound]:
+    each matmul sums at most k products with k * bound**2 < 2**53, exactly."""
+    k = (_FLOAT_EXACT - 1) // (bound * bound)
+    out = (A[:, :k] @ B[:k]).astype(np.int64) % p
+    for s in range(k, A.shape[1], k):
+        out += (A[:, s:s + k] @ B[s:s + k]).astype(np.int64)
+        out %= p
+    return out
+
+
+def _mulmod(A, B, p: int):
+    """(A @ B) mod p for int64 arrays of residues mod p, exactly, by float64 matmuls."""
+    if (p - 1) ** 2 < _FLOAT_EXACT:
+        return _dot_mod(A.astype(np.float64), B.astype(np.float64), p - 1, p)
+    # p < 2**31: split both factors into 16-bit limbs, X = Xh * 2**16 + Xl.
+    Ah, Al = (A >> 16).astype(np.float64), (A & 0xFFFF).astype(np.float64)
+    Bh, Bl = (B >> 16).astype(np.float64), (B & 0xFFFF).astype(np.float64)
+    mid = (_dot_mod(Ah, Bh, 0xFFFF, p) << 16) + _dot_mod(Ah, Bl, 0xFFFF, p) + _dot_mod(Al, Bh, 0xFFFF, p)
+    return (((mid % p) << 16) + _dot_mod(Al, Bl, 0xFFFF, p)) % p
+
+
+def _rref_block(C, p: int):
+    """Reduced row echelon form of an int64 block of residues, in place.
+
+    Returns its nonzero rows and their pivot columns. A column that is zero
+    in every row stays zero under row operations, so only the others are
+    visited; left of its pivot, a pivot row is zero.
+    """
+    r = 0
+    pivots = []
+    for col in np.flatnonzero(C.any(axis=0)):
+        if r == len(C):
+            break
+        nz = np.flatnonzero(C[r:, col])
+        if nz.size == 0:
+            continue
+        pivot = r + int(nz[0])
+        if pivot != r:
+            C[[r, pivot]] = C[[pivot, r]]
+        C[r, col:] = C[r, col:] * pow(int(C[r, col]), p - 2, p) % p
+        rest = np.flatnonzero(C[:, col])
+        rest = rest[rest != r]
+        if rest.size:
+            C[rest, col:] = (C[rest, col:] - C[rest, col, None] * C[r, col:]) % p
+        pivots.append(int(col))
+        r += 1
+    return C[:r], pivots
 
 
 def kernel(A, p: int) -> list[list[int]]:
@@ -197,47 +262,50 @@ def kernel(A, p: int) -> list[list[int]]:
 
     Each basis vector is scaled so its first nonzero coordinate (in column
     order) is 1. Vectors appear in ascending order of their free column.
+
+    Rows are taken _BLOCK_ROWS at a time: a block is cleared on the pivot
+    columns found so far with one matmul, brought to reduced echelon form,
+    and its new pivot columns are cleared from the earlier rows with a second
+    matmul. Both matmuls touch only the pivots that occur in the block.
     """
-    A = np.array(A, dtype=np.int64) % p
+    A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("kernel expects a 2-d matrix")
     nrows, ncols = A.shape
     if p * p >= 2**62:
         raise ValueError("modulus too large for the int64 elimination path")
-    pivot_cols = []
+    # E[:r] are the echelon rows so far, E[i] with its pivot at column piv[i]:
+    # each is 1 at its own pivot and 0 at the others.
+    E = np.empty((min(nrows, ncols), ncols), dtype=np.int64)
+    piv = np.empty(ncols, dtype=np.intp)
     r = 0
-    for col in range(ncols):
-        if r >= nrows:
+    for start in range(0, nrows, _BLOCK_ROWS):
+        if r == ncols:
             break
-        nz = np.nonzero(A[r:, col])[0]
-        if nz.size == 0:
+        C = A[start:start + _BLOCK_ROWS] % p
+        C = C[C.any(axis=1)]
+        used = np.flatnonzero(C[:, piv[:r]].any(axis=0))
+        if used.size:
+            C = (C - _mulmod(C[:, piv[used]], E[used], p)) % p
+            C = C[C.any(axis=1)]
+        R, new = _rref_block(C, p)
+        if not new:
             continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        inv = pow(int(A[r, col]), p - 2, p)
-        A[r] = A[r] * inv % p
-        rest = np.nonzero(A[:, col])[0]
-        rest = rest[rest != r]
-        if rest.size:
-            A[rest] = (A[rest] - A[rest, col][:, None] * A[r][None, :]) % p
-        pivot_cols.append(col)
-        r += 1
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i, col in enumerate(pivot_cols):
-            v[col] = (-int(A[i, free])) % p
-        first = next(x for x in v if x)
-        if first != 1:
-            inv = pow(first, p - 2, p)
-            v = [x * inv % p for x in v]
-        basis.append(v)
-    return basis
+        hit = np.flatnonzero(E[:r, new].any(axis=1))
+        if hit.size:
+            E[hit] = (E[hit] - _mulmod(E[np.ix_(hit, new)], R, p)) % p
+        E[r:r + len(new)] = R
+        piv[r:r + len(new)] = new
+        r += len(new)
+    free = np.setdiff1d(np.arange(ncols), piv[:r])
+    if free.size == 0:
+        return []
+    K = np.zeros((free.size, ncols), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, piv[:r]] = (p - E[:r, free].T) % p
+    lead = K[np.arange(free.size), (K != 0).argmax(axis=1)]
+    inv = np.array([pow(int(x), p - 2, p) for x in lead], dtype=np.int64)
+    return (K * inv[:, None] % p).tolist()
 
 
 def vector_to_poly(vec, basis, field: PrimeField) -> MultiPoly:
@@ -261,10 +329,10 @@ def find_annihilator(pmap: PolyMap, cfg: SolverConfig):
             if not ker:
                 continue
             q = vector_to_poly(ker[0], basis, pmap.field)
-            if cfg.verify:
-                assert poly_compose(q, pmap).is_zero()
+            if cfg.verify and not poly_compose(q, pmap).is_zero():
+                raise VerificationError(f"symbolic kernel vector at D={D} does not annihilate {pmap.label}")
             verification = {
-                "symbolic_verified": True,
+                "symbolic_verified": cfg.verify,
                 "kernel_dim": len(ker),
                 "rows": int(A.shape[0]),
             }

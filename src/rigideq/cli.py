@@ -13,8 +13,8 @@ import sys
 from .annihilator import (
     AnnihilatorCertificate,
     ResourceLimitError,
-    SampledVerificationError,
     SolverConfig,
+    VerificationError,
     find_annihilator,
 )
 from .certify import (
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     except OracleCostError as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SampledVerificationError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except UnverifiedCertificateError as exc:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +32,80 @@ from rigideq import (
     tensor_map,
     TensorParams,
 )
-from rigideq.annihilator import vector_to_poly
+import rigideq.annihilator as annihilator
+from rigideq import cli
+from rigideq.annihilator import VerificationError, vector_to_poly
+
+
+def reference_kernel(A, p):
+    """Unblocked int64 Gauss-Jordan, one row update per pivot: the reference
+    that kernel() must match exactly."""
+    A = np.array(A, dtype=np.int64) % p
+    nrows, ncols = A.shape
+    pivot_cols = []
+    r = 0
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(A[r:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot = r + int(nz[0])
+        if pivot != r:
+            A[[r, pivot]] = A[[pivot, r]]
+        inv = pow(int(A[r, col]), p - 2, p)
+        A[r] = A[r] * inv % p
+        rest = np.nonzero(A[:, col])[0]
+        rest = rest[rest != r]
+        if rest.size:
+            A[rest] = (A[rest] - A[rest, col][:, None] * A[r][None, :]) % p
+        pivot_cols.append(col)
+        r += 1
+    pivot_set = set(pivot_cols)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for i, col in enumerate(pivot_cols):
+            v[col] = (-int(A[i, free])) % p
+        first = next(x for x in v if x)
+        if first != 1:
+            inv = pow(first, p - 2, p)
+            v = [x * inv % p for x in v]
+        basis.append(v)
+    return basis
+
+
+def _monomial_values(basis, point, p):
+    """Every basis monomial at a point, with a per-variable power table."""
+    nvars = len(point)
+    max_deg = max((max(e) for e in basis), default=0)
+    pows = [[1] * (max_deg + 1) for _ in range(nvars)]
+    for i in range(nvars):
+        for j in range(1, max_deg + 1):
+            pows[i][j] = pows[i][j - 1] * point[i] % p
+    out = []
+    for e in basis:
+        v = 1
+        for i, ei in enumerate(e):
+            if ei:
+                v = v * pows[i][ei] % p
+        out.append(v)
+    return out
+
+
+def reference_sampled(pmap, D, rows, seed):
+    """The sampled matrix built one row at a time from a power table."""
+    p = pmap.field.p
+    basis = monomial_basis(pmap.out_arity, D)
+    rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
+    A = np.zeros((rows, len(basis)), dtype=np.int64)
+    for t in range(rows):
+        beta = [rng.randrange(p) for _ in range(pmap.in_arity)]
+        A[t, :] = _monomial_values(basis, pmap.evaluate(beta), p)
+    return A, basis
 
 
 def _identity_map(field, n):
@@ -89,6 +165,39 @@ def test_kernel_modulus_guard():
         kernel(np.zeros((1, 1), dtype=np.int64), 2**33)
 
 
+def _seeded_matrices(p, seed):
+    """Square, tall, wide, rank-deficient, zero-lined and sparse matrices mod p."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(r, c):
+        return rng.integers(0, p, size=(r, c), dtype=np.int64)
+
+    low_rank = uniform(90, 9).astype(object).dot(uniform(9, 80).astype(object)) % p
+    zero_lines = uniform(80, 60)
+    zero_lines[rng.choice(80, 25, replace=False)] = 0
+    zero_lines[:, rng.choice(60, 20, replace=False)] = 0
+    sparse = uniform(300, 120) * (rng.random((300, 120)) < 0.02)
+    return {
+        "square": uniform(70, 70),
+        "tall": uniform(150, 40),
+        "wide": uniform(40, 150),
+        "rank-deficient": low_rank.astype(np.int64),
+        "zero-rows-cols": zero_lines,
+        "sparse": sparse,
+    }
+
+
+# 67108859 < 2**26 takes the matmul in inner blocks of 2 terms; 2**31 - 1
+# takes the 16-bit limb split.
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, 67108859, 2**31 - 1])
+@pytest.mark.parametrize("block_rows", [7, None])
+def test_kernel_matches_reference(p, block_rows, monkeypatch):
+    if block_rows:
+        monkeypatch.setattr(annihilator, "_BLOCK_ROWS", block_rows)
+    for name, A in _seeded_matrices(p, p % 1000).items():
+        assert kernel(A, p) == reference_kernel(A, p), name
+
+
 # ---------------------------------------------------------------- composition matrices
 
 
@@ -128,6 +237,18 @@ def test_sampled_deterministic(f101):
     A3, _ = composition_matrix_sampled(pmap, 2, 20, "seed-y")
     assert np.array_equal(A1, A2) and b1 == b2
     assert not np.array_equal(A1, A3)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_sampled_matches_row_builder(D):
+    F = PrimeField(10007)
+    maps = [rank_map(F, 3, 2), tensor_map(TensorParams(F, 3, 3, 1)), rigidity_map(RigidityParams(F, 3, 1, 1))]
+    for pmap in maps:
+        for seed in (0, 1, "2:round1"):
+            A, basis = composition_matrix_sampled(pmap, D, 8, seed)
+            B, ref_basis = reference_sampled(pmap, D, 8, seed)
+            assert basis == ref_basis and A.dtype == B.dtype
+            assert np.array_equal(A, B), (pmap.label, seed)
 
 
 def test_sampled_rows_kill_true_kernel(f101):
@@ -178,6 +299,43 @@ def test_find_annihilator_rank32_sampled():
     for _ in range(1000):
         beta = [rng.randrange(F.p) for _ in range(12)]
         assert poly_eval(cert.q, pmap.evaluate(beta)) == 0
+
+
+def test_symbolic_verification_failure_raises(f101, tmp_path, monkeypatch):
+    real = annihilator.poly_compose
+
+    def forged(q, pmap):
+        # monomials (the matrix columns) compose truly; the candidate Q does not
+        out = real(q, pmap)
+        return out if len(q.terms) == 1 else out + 1
+
+    monkeypatch.setattr(annihilator, "poly_compose", forged)
+    with pytest.raises(VerificationError, match="does not annihilate"):
+        find_annihilator(rank_map(f101, 2, 1), SolverConfig(d_min=1, d_max=2))
+    out = tmp_path / "cert.json"
+    argv = ["solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2", "--out", str(out)]
+    assert cli.main(argv) == 4
+    assert not out.exists()
+
+
+def test_symbolic_verified_records_the_check(f101):
+    pmap = rank_map(f101, 2, 1)
+    for verify in (True, False):
+        cert = find_annihilator(pmap, SolverConfig(d_min=1, d_max=2, verify=verify))
+        assert cert.verification["symbolic_verified"] is verify
+
+
+def test_solve_under_python_O_is_byte_identical():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["-m", "rigideq.cli", "solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2"]
+    docs = [
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, check=True, timeout=120).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert docs[0] and docs[0] == docs[1]
+    assert json.loads(docs[1])["verification"]["symbolic_verified"] is True
 
 
 def test_find_annihilator_none_for_identity(f101):
