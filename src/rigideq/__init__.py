@@ -1,7 +1,7 @@
 """Finite-field toolkit for explicit low-degree equations of universal
 polynomial maps: non-rigid matrices, small linear circuits, low-rank tensors."""
 
-from .field import PrimeField, fp_inv, is_prime
+from .field import PrimeField, is_prime
 from .poly import (
     MultiPoly,
     PolyMap,
@@ -9,7 +9,6 @@ from .poly import (
     lagrange_basis,
     monomial_basis,
     poly_compose,
-    poly_eval,
 )
 from .generators import (
     RigidityParams,

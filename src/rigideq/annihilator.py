@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import PrimeField
-from .poly import MultiPoly, PolyMap, grlex_key, monomial_basis, poly_compose
+from .poly import MultiPoly, PolyMap, monomial_basis, poly_compose
 
 
 class ResourceLimitError(RuntimeError):
@@ -98,9 +98,17 @@ class AnnihilatorCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AnnihilatorCertificate":
+        pmap = PolyMap.from_json_dict(doc["map"])
+        q = MultiPoly.from_json_dict(doc["Q"])
+        if doc["p"] != pmap.field.p or doc["label"] != pmap.label:
+            raise ValueError("certificate p or label contradicts its map")
+        if q.field != pmap.field or q.nvars != pmap.out_arity:
+            raise ValueError("Q does not fit the map: wrong field or number of variables")
+        if not isinstance(doc["verification"], dict):
+            raise ValueError("verification record is not an object")
         return cls(
-            pmap=PolyMap.from_json_dict(doc["map"]),
-            q=MultiPoly.from_json_dict(doc["Q"]),
+            pmap=pmap,
+            q=q,
             degree=doc["D"],
             mode=doc["mode"],
             seed=doc["seed"],

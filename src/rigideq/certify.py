@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .annihilator import AnnihilatorCertificate
+from .generators import RigidityParams, rigidity_map
 from .oracle import DenseMatrix
-from .poly import MultiPoly, PolyMap, poly_compose, poly_eval
+from .poly import MultiPoly, PolyMap, poly_compose
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def verify_pit(q: MultiPoly, pmap: PolyMap, trials: int, seed) -> tuple[bool, Pi
     rng = random.Random(f"{seed}:pit:{pmap.label}")
     for _ in range(trials):
         beta = [rng.randrange(p) for _ in range(pmap.in_arity)]
-        if poly_eval(q, pmap.evaluate(beta)) != 0:
+        if q.evaluate(pmap.evaluate(beta)) != 0:
             return False, report
     return True, report
 
@@ -116,17 +117,27 @@ class RigidityCertificate:
 
 
 def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate, recheck: bool = False):
-    """RigidityCertificate when Q(M) != 0, else None ("not certified")."""
+    """RigidityCertificate when Q(M) != 0, else None ("not certified").
+
+    The label's (n, r, k) is what gets certified, so the embedded map must be
+    exactly the rigidity map that label names.
+    """
     m = _RIGIDITY_LABEL.match(cert.label)
     if not m:
         raise ValueError(f"certificate is not for a rigidity map: label {cert.label!r}")
     n, r, k = map(int, m.groups())
+    try:
+        expected = rigidity_map(RigidityParams(cert.pmap.field, n, r, k))
+    except ValueError as exc:
+        raise UnverifiedCertificateError(f"label {cert.label!r} names no rigidity map: {exc}") from exc
+    if cert.pmap != expected:
+        raise UnverifiedCertificateError(f"embedded map is not the {cert.label} map")
     _require_verified(cert, recheck)
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")
     if (matrix.rows, matrix.cols) != (n, n):
         raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, certificate expects {n}x{n}")
-    value = poly_eval(cert.q, matrix.entries)
+    value = cert.q.evaluate(matrix.entries)
     if value == 0:
         return None
     return RigidityCertificate(n, r, k, matrix.field.p, matrix, cert, value)
@@ -176,7 +187,7 @@ def certify_circuit_lower_bound(matrix: DenseMatrix, cert: AnnihilatorCertificat
         raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, certificate expects {n}x{n}")
     # universal_map coordinates are row-major over (input i, output j)
     flat = [matrix.get(j, i) for i in range(n) for j in range(n)]
-    value = poly_eval(cert.q, flat)
+    value = cert.q.evaluate(flat)
     if value == 0:
         return None
     return CircuitLowerBoundCertificate(n, s_budget, L, w, matrix.field.p, matrix, cert, value)

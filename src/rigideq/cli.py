@@ -56,14 +56,17 @@ def _load_map(args) -> PolyMap:
     raise ValueError("need --map SPEC or --in MAPFILE")
 
 
-def cmd_genmap(args) -> int:
-    pmap = _load_map(args)
-    doc = json.dumps(pmap.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+def _emit(doc: str, out: str | None):
+    if out:
+        with open(out, "w") as fh:
             fh.write(doc)
     else:
         sys.stdout.write(doc)
+
+
+def cmd_genmap(args) -> int:
+    pmap = _load_map(args)
+    _emit(json.dumps(pmap.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n", args.out)
     deg = pmap.degree()
     print(f"map {pmap.label}: {pmap.in_arity} -> {pmap.out_arity}, degree {deg}, p={pmap.field.p}", file=sys.stderr)
     return EXIT_OK
@@ -76,19 +79,18 @@ def cmd_solve(args) -> int:
     if cert is None:
         print(f"no annihilator of degree <= {args.dmax} for {pmap.label}", file=sys.stderr)
         return EXIT_NONE_IN_RANGE
-    doc = cert.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(cert.to_json(), args.out)
     print(f"annihilator for {pmap.label}: D={cert.degree}, {len(cert.q)} terms, mode={cert.mode}", file=sys.stderr)
     return EXIT_OK
 
 
 def _load_cert(path: str) -> AnnihilatorCertificate:
     with open(path) as fh:
-        return AnnihilatorCertificate.from_json(fh.read())
+        text = fh.read()
+    try:
+        return AnnihilatorCertificate.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VerificationError(f"unreadable certificate: {exc!r}") from exc
 
 
 def cmd_certify(args) -> int:
@@ -110,22 +112,13 @@ def cmd_certify(args) -> int:
     if result is None:
         print(f"not certified: Q(M) = 0 (no {kind} conclusion)", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
-    doc = result.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(result.to_json(), args.out)
     print(f"certified ({kind}): Q(M) = {result.value} != 0", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        cert = _load_cert(args.cert)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"unreadable certificate: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    cert = _load_cert(args.cert)
     if cert.q.is_zero():
         print("verification failed: Q is zero", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -214,16 +207,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, OracleCostError) as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OracleCostError as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except UnverifiedCertificateError as exc:
+    except (VerificationError, UnverifiedCertificateError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:

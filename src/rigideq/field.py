@@ -47,37 +47,11 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise NonInvertibleError(f"non-invertible element: 0 mod {self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.p, e, self.p)
-
     def __str__(self):
         return f"F_{self.p}"
-
-
-def fp_inv(a: int, field: PrimeField) -> int:
-    """Multiplicative inverse of a in F_p; errors on a = 0."""
-    return field.inv(a)

@@ -8,7 +8,7 @@ default to 0, 1, ..., N-1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .field import PrimeField

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .field import PrimeField
 from .generators import SVParams, sv_map, sv_selector
-from .poly import MultiPoly, PolyMap, packed_weighted_sum, poly_eval
+from .poly import MultiPoly, PolyMap, packed_weighted_sum
 
 
 class CircuitError(ValueError):
@@ -219,31 +219,6 @@ def universal_map(graph: UniversalGraph) -> PolyMap:
     return PolyMap(F, nvars, tuple(coords), label=f"universal({n},{graph.s_budget},{graph.L},{graph.w})")
 
 
-def universal_map_bruteforce(graph: UniversalGraph) -> PolyMap:
-    """Path-enumeration reference for universal_map; tiny graphs only."""
-    F, n = graph.field, graph.n
-    labels = sv_map(graph.sv_params).coordinates
-    nvars = 2 * graph.s_budget
-    index = graph.edge_index()
-    out_edges: dict[tuple, list] = {}
-    for (src, dst) in graph.edges:
-        out_edges.setdefault(src, []).append(dst)
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            total = MultiPoly.zero(F, nvars)
-            stack = [((0, i), MultiPoly.constant(F, nvars, 1))]
-            while stack:
-                v, prod = stack.pop()
-                if v == (graph.L + 1, j):
-                    total = total + prod
-                    continue
-                for dst in out_edges.get(v, []):
-                    stack.append((dst, prod * labels[index[(v, dst)]]))
-            coords.append(total)
-    return PolyMap(F, nvars, tuple(coords), label=f"universal-bruteforce({n},{graph.s_budget})")
-
-
 def universal_eval(graph: UniversalGraph, x_vals: Sequence[int], y_vals: Sequence[int]) -> list[list[int]]:
     """Evaluate U at a point numerically: n x n matrix, entry [i][j]."""
     F, n, k = graph.field, graph.n, graph.s_budget
@@ -384,5 +359,6 @@ def find_nonzero_point(q: MultiPoly, degree_bound: int) -> tuple:
                 break
         else:  # unreachable for nonzero polynomials of degree <= bound
             raise AssertionError("scan failed to keep the polynomial nonzero")
-    assert poly_eval(q, point) != 0
+    if q.evaluate(point) == 0:
+        raise AssertionError("scan ended at a zero of the polynomial")
     return tuple(point)

@@ -4,14 +4,17 @@ Terms are stored as a dict mapping exponent tuples to nonzero coefficients.
 The canonical term order everywhere (iteration, serialization, solver column
 order) is graded lexicographic: total degree ascending, then lexicographic on
 exponent vectors with the first variable largest.
+
+Every product of two polynomials goes through packed_weighted_sum, which sums
+products a_t * b_t; MultiPoly * MultiPoly is its one-pair call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .field import PrimeField
 # degree-bound assertions like deg(q) <= D hold vacuously for zero.
 NEG_INF = float("-inf")
 
-# Pairwise term products above this count take the packed numpy path.
+# Sums of at least this many term products take the packed numpy path.
 _NUMPY_MUL_THRESHOLD = 50_000
 
 
@@ -148,25 +151,7 @@ class MultiPoly:
             p = self.field.p
             return MultiPoly(self.field, self.nvars, {e: v * c % p for e, v in self.terms.items()})
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.field, self.nvars)
-        if len(self.terms) * len(other.terms) >= _NUMPY_MUL_THRESHOLD:
-            packed = _mul_packed(self, other)
-            if packed is not None:
-                return packed
-        p = self.field.p
-        out: dict[tuple, int] = {}
-        a_items = list(self.terms.items())
-        b_items = list(other.terms.items())
-        for ea, ca in a_items:
-            for eb, cb in b_items:
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = (out.get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.field, self.nvars, out)
+        return packed_weighted_sum([(self, other)], self.field, self.nvars)
 
     __rmul__ = __mul__
 
@@ -261,104 +246,47 @@ class MultiPoly:
         return f"MultiPoly({self.field}, nvars={self.nvars}, {len(self.terms)} terms)"
 
 
-def _mul_packed(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
-    """Large-product fast path: pack exponent vectors into uint64 keys.
-
-    Returns None when the packing does not fit (caller falls back to dicts).
-    Arithmetic stays exact: coefficients are int64 residues and accumulated
-    sums are bounded by len(a)*len(b)*p^2 checks below.
-    """
-    nvars = a.nvars
-    p = a.field.p
-    if nvars == 0:
-        return None
-    amax = [0] * nvars
-    bmax = [0] * nvars
-    for e in a.terms:
-        for i, ei in enumerate(e):
-            if ei > amax[i]:
-                amax[i] = ei
-    for e in b.terms:
-        for i, ei in enumerate(e):
-            if ei > bmax[i]:
-                bmax[i] = ei
-    bits = [max(1, (x + y).bit_length()) for x, y in zip(amax, bmax)]
-    if sum(bits) > 64:
-        return None
-    if p * p * len(a.terms) >= 2**62:  # keep np.add.at sums inside int64
-        return None
-    shifts = np.cumsum([0] + bits[:-1]).astype(np.uint64)
-
-    def pack(terms):
-        keys = np.array(list(terms.keys()), dtype=np.uint64)
-        vals = np.array(list(terms.values()), dtype=np.int64)
-        packed = np.zeros(len(terms), dtype=np.uint64)
-        for i in range(nvars):
-            packed |= keys[:, i] << shifts[i]
-        return packed, vals
-
-    ka, va = pack(a.terms)
-    kb, vb = pack(b.terms)
-    keys = (ka[:, None] + kb[None, :]).ravel()
-    vals = (va[:, None] * vb[None, :] % p).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(acc, inverse, vals)
-    acc %= p
-    masks = [(1 << w) - 1 for w in bits]
-    out: dict[tuple, int] = {}
-    uniq_py = uniq.tolist()
-    for key, c in zip(uniq_py, acc.tolist()):
-        if not c:
-            continue
-        e = tuple((key >> int(shifts[i])) & masks[i] for i in range(nvars))
-        out[e] = c
-    return MultiPoly(a.field, nvars, out)
-
-
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
-    """Sum of products a_t * b_t computed in one aggregation pass.
+    """Sum of the products a_t * b_t: the one polynomial product of rigideq.
 
-    Used by dynamic programs that accumulate many polynomial products into
-    one value; a single sort/aggregate beats repeated multiply-then-add.
-    Falls back to plain arithmetic when exponents do not pack into 64 bits.
+    From _NUMPY_MUL_THRESHOLD term pairs on, exponent vectors are packed into
+    uint64 keys and all products are aggregated in one numpy pass. Smaller
+    sums, exponents that do not pack into 64 bits and moduli whose sums could
+    leave int64 add every term pair into one dict instead.
     """
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    if not pairs:
-        return MultiPoly.zero(field, nvars)
     p = field.p
-    bound = [0] * nvars
-    total_rows = 0
-    for a, b in pairs:
-        amax = [0] * nvars
-        bmax = [0] * nvars
-        for e in a.terms:
-            for i, ei in enumerate(e):
-                if ei > amax[i]:
-                    amax[i] = ei
-        for e in b.terms:
-            for i, ei in enumerate(e):
-                if ei > bmax[i]:
-                    bmax[i] = ei
-        for i in range(nvars):
-            if amax[i] + bmax[i] > bound[i]:
-                bound[i] = amax[i] + bmax[i]
-        total_rows += len(a.terms) * len(b.terms)
-    bits = [max(1, x.bit_length()) for x in bound]
-    small = total_rows < _NUMPY_MUL_THRESHOLD
-    if small or sum(bits) > 64 or p * p * total_rows >= 2**62:
-        acc = MultiPoly.zero(field, nvars)
+    total = sum(len(a.terms) * len(b.terms) for a, b in pairs)
+    bits = None
+    # products of residues are below p**2, and each key sums at most total of them reduced mod p
+    if total >= _NUMPY_MUL_THRESHOLD and max((p - 1) ** 2, total * (p - 1)) < 2**63:
+        bound = [0] * nvars
         for a, b in pairs:
-            acc = acc + a * b
-        return acc
-    shifts = np.cumsum([0] + bits[:-1]).astype(np.uint64)
+            # zip(*terms) yields the exponents of one variable at a time
+            for i, (x, y) in enumerate(zip(map(max, zip(*a.terms)), map(max, zip(*b.terms)))):
+                bound[i] = max(bound[i], x + y)
+        bits = [max(1, x.bit_length()) for x in bound]
+        if sum(bits) > 64:
+            bits = None
+    if bits is None:
+        out: dict[tuple, int] = {}
+        for a, b in pairs:
+            b_items = list(b.terms.items())
+            for ea, ca in a.terms.items():
+                for eb, cb in b_items:
+                    e = tuple(map(add, ea, eb))
+                    out[e] = out.get(e, 0) + ca * cb
+        return MultiPoly(field, nvars, out)
+    shifts = [0] * nvars
+    for i in range(1, nvars):
+        shifts[i] = shifts[i - 1] + bits[i - 1]
 
     def pack(terms):
-        keys = np.array(list(terms.keys()), dtype=np.uint64)
-        packed = np.zeros(len(terms), dtype=np.uint64)
-        for i in range(nvars):
-            packed |= keys[:, i] << shifts[i]
-        return packed, np.array(list(terms.values()), dtype=np.int64)
+        exps = np.array(list(terms), dtype=np.uint64)
+        keys = np.zeros(len(terms), dtype=np.uint64)
+        for i, s in enumerate(shifts):
+            keys |= exps[:, i] << np.uint64(s)
+        return keys, np.array(list(terms.values()), dtype=np.int64)
 
     key_chunks = []
     val_chunks = []
@@ -367,18 +295,14 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
         kb, vb = pack(b.terms)
         key_chunks.append((ka[:, None] + kb[None, :]).ravel())
         val_chunks.append((va[:, None] * vb[None, :] % p).ravel())
-    keys = np.concatenate(key_chunks)
-    vals = np.concatenate(val_chunks)
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    uniq, inverse = np.unique(np.concatenate(key_chunks), return_inverse=True)
     acc = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(acc, inverse, vals)
+    np.add.at(acc, inverse, np.concatenate(val_chunks))
     acc %= p
     masks = [(1 << w) - 1 for w in bits]
-    shift_list = [int(s) for s in shifts]
-    out: dict[tuple, int] = {}
+    out = {}
     for key, c in zip(uniq.tolist(), acc.tolist()):
-        if c:
-            out[tuple((key >> shift_list[i]) & masks[i] for i in range(nvars))] = c
+        out[tuple((key >> shifts[i]) & masks[i] for i in range(nvars))] = c
     return MultiPoly(field, nvars, out)
 
 
@@ -427,10 +351,6 @@ class PolyMap:
         if pmap.out_arity != doc["N"]:
             raise ValueError("inconsistent coordinate count in serialized map")
         return pmap
-
-
-def poly_eval(q: MultiPoly, point: Sequence[int]) -> int:
-    return q.evaluate(point)
 
 
 def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:

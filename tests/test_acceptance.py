@@ -40,7 +40,6 @@ from rigideq import (
     is_rigid_bruteforce,
     kernel,
     poly_compose,
-    poly_eval,
     rank_map,
     rigidity_map,
     rigidity_witness,
@@ -123,7 +122,7 @@ def test_criterion_02_det3_annihilates_rigidity_map():
         v0 = [[rng.randrange(F.p) for _ in range(3)]]
         pos = (rng.randrange(3), rng.randrange(3))
         beta = rigidity_witness(params, u0, v0, {pos: rng.randrange(F.p)})
-        assert poly_eval(det3, pmap.evaluate(beta)) == 0
+        assert det3.evaluate(pmap.evaluate(beta)) == 0
 
     t0 = time.time()
     composed = poly_compose(det3, pmap)
@@ -134,7 +133,7 @@ def test_criterion_02_det3_annihilates_rigidity_map():
     else:
         # exhibit a concrete refutation point so the failure is self-evident
         beta = find_nonzero_point(composed, min(composed.degree(), 100))
-        value = poly_eval(det3, pmap.evaluate(beta))
+        value = det3.evaluate(pmap.evaluate(beta))
         assert value != 0
         scoreboard(
             f"{name}: FAIL (composition has {len(composed)} terms; "
@@ -177,9 +176,9 @@ def test_criterion_03_rigidity_solve():
         v0 = [[rng.randrange(F.p) for _ in range(3)]]
         pos = (rng.randrange(3), rng.randrange(3))
         beta = rigidity_witness(params, u0, v0, {pos: rng.randrange(F.p)})
-        assert poly_eval(cert.q, pmap.evaluate(beta)) == 0
+        assert cert.q.evaluate(pmap.evaluate(beta)) == 0
     pt = find_nonzero_point(cert.q, cert.q.degree())
-    assert poly_eval(cert.q, pt) != 0
+    assert cert.q.evaluate(pt) != 0
     scoreboard(f"{name}: PASS ({elapsed:.2f}s)")
 
 
@@ -276,7 +275,7 @@ def test_criterion_06_tensor_equation(tmp_path):
             for _ in range(8):
                 entries.append(rem % 3)
                 rem //= 3
-            value = poly_eval(q3, entries)
+            value = q3.evaluate(entries)
             if value != 0:
                 hits += 1
                 t = DenseTensor(F3, 2, 3, tuple(entries))
@@ -384,7 +383,7 @@ def test_criterion_09_nonzero_point_search():
             q = random_poly(rng, F, rng.randrange(1, 6), 10)
             pt = find_nonzero_point(q, 10)
             assert all(0 <= a <= 10 for a in pt)
-            assert poly_eval(q, pt) != 0
+            assert q.evaluate(pt) != 0
         elapsed = time.time() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s >= 5s"
     except BaseException:

@@ -26,7 +26,6 @@ from rigideq import (
     kernel,
     monomial_basis,
     poly_compose,
-    poly_eval,
     rank_map,
     rigidity_map,
     tensor_map,
@@ -280,9 +279,9 @@ def test_find_annihilator_rank21(f101):
     rng = random.Random("ann:van21")
     for _ in range(1000):
         beta = [rng.randrange(f101.p) for _ in range(4)]
-        assert poly_eval(cert.q, pmap.evaluate(beta)) == 0
+        assert cert.q.evaluate(pmap.evaluate(beta)) == 0
     pt = find_nonzero_point(cert.q, 2)
-    assert poly_eval(cert.q, pt) != 0
+    assert cert.q.evaluate(pt) != 0
 
 
 def test_find_annihilator_rank32_sampled():
@@ -298,7 +297,7 @@ def test_find_annihilator_rank32_sampled():
     rng = random.Random("ann:van32")
     for _ in range(1000):
         beta = [rng.randrange(F.p) for _ in range(12)]
-        assert poly_eval(cert.q, pmap.evaluate(beta)) == 0
+        assert cert.q.evaluate(pmap.evaluate(beta)) == 0
 
 
 def test_symbolic_verification_failure_raises(f101, tmp_path, monkeypatch):
@@ -385,6 +384,19 @@ def test_certificate_json_round_trip(f101):
     assert back.to_json() == text
     # canonical: key-sorted, no whitespace, trailing newline
     assert text.endswith("\n") and ": " not in text
+
+
+def test_certificate_json_must_match_its_map(f101):
+    doc = json.loads(find_annihilator(rank_map(f101, 2, 1), SolverConfig(d_min=1, d_max=2)).to_json())
+    forgeries = []
+    for key, value in (("p", 13), ("label", "rank(2,2)")):
+        forgeries.append(dict(doc, **{key: value}))
+    for key, value in (("p", 103), ("nvars", 5)):
+        forgeries.append(dict(doc, Q=dict(doc["Q"], **{key: value}, terms=[])))
+    for forged in forgeries:
+        with pytest.raises(ValueError):
+            AnnihilatorCertificate.from_json_dict(forged)
+    assert AnnihilatorCertificate.from_json_dict(doc).to_json_dict() == doc
 
 
 def test_vector_to_poly_round_trip(f101):

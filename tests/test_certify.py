@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -147,6 +148,21 @@ def test_unverified_certificates_refused(rigidity210_cert):
         certify_rigid(m, corrupted, recheck=True)
     # without recheck the stored flag is trusted; Q = x11 evaluates nonzero
     assert certify_rigid(m, corrupted) is not None
+
+
+def test_certify_rigid_refuses_a_relabelled_map():
+    # a rank(3,1) annihilator (a 2x2 minor) relabelled rigidity(3,1,1) would
+    # certify diag(1,1,0), which one sparse entry brings down to rank 1
+    F11 = PrimeField(11)
+    cert = find_annihilator(rank_map(F11, 3, 1), SolverConfig(d_min=1, d_max=2))
+    diag = DenseMatrix(F11, 3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 0))
+    assert not is_rigid_bruteforce(diag, 1, 1)
+    for label in ("rigidity(3,1,1)", "rigidity(3,3,1)"):
+        forged = dataclasses.replace(cert, pmap=dataclasses.replace(cert.pmap, label=label))
+        with pytest.raises(UnverifiedCertificateError, match="rigidity map|not the"):
+            certify_rigid(diag, forged)
+    real = find_annihilator(rigidity_map(RigidityParams(F11, 2, 1, 0)), SolverConfig(d_min=2, d_max=2))
+    assert certify_rigid(DenseMatrix(F11, 2, 2, (1, 0, 0, 1)), real) is not None
 
 
 # ---------------------------------------------------------------- circuit certificates

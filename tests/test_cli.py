@@ -117,6 +117,25 @@ def test_certify_flow(tmp_path, rigidity_cert_file, capsys):
     assert "not certified" in capsys.readouterr().err
 
 
+def _malformed_certs(tmp_path, cert_file):
+    """Certificates with no Q, with a Q.nvars its exponents contradict, with
+    a top-level p its map contradicts, and with a verification record that is
+    not an object."""
+    paths = []
+    for name, forge in (
+        ("no-q", lambda d: d.pop("Q")),
+        ("q-nvars", lambda d: d["Q"].update(nvars=d["Q"]["nvars"] + 1)),
+        ("top-p", lambda d: d.update(p=13)),
+        ("verification", lambda d: d.update(verification=[])),
+    ):
+        doc = json.loads(cert_file.read_text())
+        forge(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(path)
+    return paths
+
+
 def test_certify_corrupted_cert(tmp_path, rigidity_cert_file, capsys):
     doc = json.loads(rigidity_cert_file.read_text())
     doc["Q"]["terms"][0]["c"] = (doc["Q"]["terms"][0]["c"] + 1) % 5 or 1
@@ -124,8 +143,26 @@ def test_certify_corrupted_cert(tmp_path, rigidity_cert_file, capsys):
     bad.write_text(json.dumps(doc))
     matrix = tmp_path / "m.txt"
     matrix.write_text("5 2 2\n1 0\n0 1\n")
-    assert run("certify", "--in", str(matrix), "--cert", str(bad)) == 4
-    assert "verification" in capsys.readouterr().err
+    for cert in [bad] + _malformed_certs(tmp_path, rigidity_cert_file):
+        assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
+        assert "verification" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_relabelled_map(tmp_path, capsys):
+    cert = tmp_path / "rank.json"
+    assert run("solve", "--map", "rank(3,1)", "-p", "11", "--dmax", "2", "--out", str(cert)) == 0
+    doc = json.loads(cert.read_text())
+    doc["label"] = doc["map"]["label"] = "rigidity(3,1,1)"
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("11 3 3\n1 0 0\n0 1 0\n0 0 0\n")
+    out = tmp_path / "rigidity.json"
+    capsys.readouterr()
+    assert run("certify", "--in", str(matrix), "--cert", str(forged), "--out", str(out)) == 4
+    assert "not the rigidity(3,1,1) map" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("oracle", "--in", str(matrix), "--rigid", "1,1") == 1
 
 
 def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
@@ -140,7 +177,9 @@ def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
     assert "failed" in capsys.readouterr().err
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
-    assert run("verify", "--cert", str(garbage)) == 4
+    for cert in [garbage] + _malformed_certs(tmp_path, rigidity_cert_file):
+        assert run("verify", "--cert", str(cert)) == 4
+        assert "unreadable certificate" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- oracle

