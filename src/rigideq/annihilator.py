@@ -3,9 +3,10 @@
 The solver realizes the dimension-count argument as code: the linear map
 Q -> Q o P restricted to polynomials of degree <= D is written as a matrix
 over F_p (columns in graded lex monomial order) and its nullspace yields an
-annihilator. A sampled mode replaces the astronomically tall symbolic matrix
-with rows of point evaluations; soundness is restored by mandatory symbolic
-verification of the returned polynomial.
+annihilator. Its columns are the images of the monomials under P, from
+poly.monomial_images. A sampled mode replaces the astronomically tall symbolic
+matrix with rows of point evaluations; every returned polynomial is verified
+symbolically, in both modes.
 
 The nullspace comes from an exact blocked elimination mod p. Blocks of rows
 are reduced against the echelon rows found so far, and those rows against
@@ -22,11 +23,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .field import PrimeField
-from .poly import MultiPoly, PolyMap, monomial_basis, poly_compose
+from .poly import MultiPoly, PolyMap, monomial_basis, monomial_images, poly_compose
 
 
 class ResourceLimitError(RuntimeError):
@@ -41,8 +43,10 @@ class SampledVerificationError(VerificationError):
     """Sampled-mode kernel vectors repeatedly failed symbolic verification."""
 
 
-DEFAULT_ROW_CAP = 5_000_000
+ROW_CAP = 5_000_000  # estimated rows of the largest symbolic matrix built
 DEGREE_SEARCH_CAP = 64
+SAMPLE_MARGIN = 16
+MAX_RESAMPLE_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -50,19 +54,13 @@ class SolverConfig:
     mode: str = "symbolic"  # "symbolic" | "sampled"
     d_min: int = 1
     d_max: int = 3
-    sample_margin: int = 16
     seed: int = 0
-    verify: bool = True
-    row_cap: int = DEFAULT_ROW_CAP
-    max_resample_rounds: int = 4
 
     def __post_init__(self):
         if self.mode not in ("symbolic", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.d_min <= self.d_max:
             raise ValueError("need 1 <= d_min <= d_max")
-        if self.sample_margin < 1:
-            raise ValueError("sample_margin must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def existence_degree_bound(m: int, d: int, N: int, cap: int = DEGREE_SEARCH_CAP)
     return None
 
 
-def composition_matrix_symbolic(pmap: PolyMap, D: int, row_cap: int = DEFAULT_ROW_CAP):
+def composition_matrix_symbolic(pmap: PolyMap, D: int):
     """Matrix of Q -> Q o P: columns indexed by monomial_basis(N, D), rows by
     the monomials of F_p[x_1..x_m] up to degree deg(P)*D that actually occur.
 
@@ -158,34 +156,27 @@ def composition_matrix_symbolic(pmap: PolyMap, D: int, row_cap: int = DEFAULT_RO
     d = pmap.degree()
     d_int = 0 if d == float("-inf") else int(d)
     est_rows = math.comb(pmap.in_arity + d_int * D, pmap.in_arity)
-    if est_rows > row_cap:
+    if est_rows > ROW_CAP:
         raise ResourceLimitError(
-            f"symbolic matrix would have ~{est_rows} rows > cap {row_cap}; use sampled mode"
+            f"symbolic matrix would have ~{est_rows} rows > cap {ROW_CAP}; use sampled mode"
         )
     basis = monomial_basis(pmap.out_arity, D)
-    columns = []
+    one = MultiPoly.constant(pmap.field, pmap.in_arity, 1)
     row_index: dict[tuple, int] = {}
-    for mono in basis:
-        composed = poly_compose(MultiPoly.monomial(pmap.field, mono), pmap)
-        col = {}
-        for e, c in composed.terms.items():
-            if e not in row_index:
-                row_index[e] = len(row_index)
-            col[row_index[e]] = c
-        columns.append(col)
-    A = np.zeros((max(len(row_index), 1), len(basis)), dtype=np.int64)
+    # each column as (row, coefficient) pairs, rows numbered in order of first appearance
+    columns = []
+    for image in monomial_images(basis, one, pmap.coordinates, mul):
+        pairs = [(row_index.setdefault(e, len(row_index)), c) for e, c in image.terms.items()]
+        columns.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    A = np.zeros((len(row_index), len(basis)), dtype=np.int64)
     for j, col in enumerate(columns):
-        for i, c in col.items():
-            A[i, j] = c
+        A[col[:, 0], j] = col[:, 1]
     return A, basis
 
 
 def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     """Row t holds the values of every degree-<=D monomial at P(beta_t) for a
     seeded random beta_t; deterministic given the seed.
-
-    Each column is its graded-lex parent column (the exponent minus one in its
-    first nonzero variable) times that variable's values.
     """
     p = pmap.field.p
     if p * p >= 2**63:
@@ -197,16 +188,8 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
         [pmap.evaluate([rng.randrange(p) for _ in range(pmap.in_arity)]) for _ in range(rows)],
         dtype=np.int64,
     ).reshape(rows, pmap.out_arity).T
-    index = {e: j for j, e in enumerate(basis)}
-    cols = np.empty((len(basis), rows), dtype=np.int64)
-    cols[0] = 1  # basis[0] is the constant monomial
-    for j in range(1, len(basis)):
-        e = basis[j]
-        i = next(i for i, ei in enumerate(e) if ei)
-        parent = index[e[:i] + (e[i] - 1,) + e[i + 1:]]
-        np.multiply(cols[parent], coords[i], out=cols[j])
-        cols[j] %= p
-    return np.ascontiguousarray(cols.T), basis
+    images = monomial_images(basis, np.ones(rows, dtype=np.int64), coords, lambda a, b: a * b % p)
+    return np.stack(list(images), axis=1), basis
 
 
 # Rows of the input taken per block of the elimination in kernel().
@@ -325,30 +308,30 @@ def find_annihilator(pmap: PolyMap, cfg: SolverConfig):
     """Search D = d_min..d_max for a nonzero Q of degree <= D with Q o P == 0.
 
     Returns an AnnihilatorCertificate for the smallest successful D, or None
-    when the range is exhausted ("none in range"). In sampled mode the
-    candidate is symbolically verified; spurious kernels trigger bounded
+    when the range is exhausted ("none in range"). Every candidate is
+    symbolically verified; in sampled mode spurious kernels trigger bounded
     resampling with more rows.
     """
     p = pmap.field.p
     for D in range(cfg.d_min, cfg.d_max + 1):
         if cfg.mode == "symbolic":
-            A, basis = composition_matrix_symbolic(pmap, D, row_cap=cfg.row_cap)
+            A, basis = composition_matrix_symbolic(pmap, D)
             ker = kernel(A, p)
             if not ker:
                 continue
             q = vector_to_poly(ker[0], basis, pmap.field)
-            if cfg.verify and not poly_compose(q, pmap).is_zero():
+            if not poly_compose(q, pmap).is_zero():
                 raise VerificationError(f"symbolic kernel vector at D={D} does not annihilate {pmap.label}")
             verification = {
-                "symbolic_verified": cfg.verify,
+                "symbolic_verified": True,
                 "kernel_dim": len(ker),
                 "rows": int(A.shape[0]),
             }
             return AnnihilatorCertificate(pmap, q, D, cfg.mode, cfg.seed, verification)
         # sampled mode
         ncols = math.comb(pmap.out_arity + D, pmap.out_arity)
-        rows = ncols + cfg.sample_margin
-        for round_no in range(cfg.max_resample_rounds):
+        rows = ncols + SAMPLE_MARGIN
+        for round_no in range(MAX_RESAMPLE_ROUNDS):
             A, basis = composition_matrix_sampled(pmap, D, rows, f"{cfg.seed}:round{round_no}")
             ker = kernel(A, p)
             if not ker:

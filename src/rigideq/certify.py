@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .annihilator import AnnihilatorCertificate
 from .generators import RigidityParams, rigidity_map
+from .lincircuit import universal_graph, universal_map
 from .oracle import DenseMatrix
 from .poly import MultiPoly, PolyMap, poly_compose
 
@@ -78,6 +79,16 @@ class UnverifiedCertificateError(ValueError):
     pass
 
 
+def _require_labelled_map(cert: AnnihilatorCertificate, kind: str, build):
+    """Refuse a certificate whose embedded map is not build(), the map its label names."""
+    try:
+        expected = build()
+    except ValueError as exc:
+        raise UnverifiedCertificateError(f"label {cert.label!r} names no {kind} map: {exc}") from exc
+    if cert.pmap != expected:
+        raise UnverifiedCertificateError(f"embedded map is not the {cert.label} map")
+
+
 def _require_verified(cert: AnnihilatorCertificate, recheck: bool):
     if not cert.verification.get("symbolic_verified"):
         raise UnverifiedCertificateError("certificate lacks symbolic verification; refusing")
@@ -126,12 +137,7 @@ def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate, recheck: bo
     if not m:
         raise ValueError(f"certificate is not for a rigidity map: label {cert.label!r}")
     n, r, k = map(int, m.groups())
-    try:
-        expected = rigidity_map(RigidityParams(cert.pmap.field, n, r, k))
-    except ValueError as exc:
-        raise UnverifiedCertificateError(f"label {cert.label!r} names no rigidity map: {exc}") from exc
-    if cert.pmap != expected:
-        raise UnverifiedCertificateError(f"embedded map is not the {cert.label} map")
+    _require_labelled_map(cert, "rigidity", lambda: rigidity_map(RigidityParams(cert.pmap.field, n, r, k)))
     _require_verified(cert, recheck)
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")
@@ -180,6 +186,7 @@ def certify_circuit_lower_bound(matrix: DenseMatrix, cert: AnnihilatorCertificat
     if not m:
         raise ValueError(f"certificate is not for a universal circuit map: label {cert.label!r}")
     n, s_budget, L, w = map(int, m.groups())
+    _require_labelled_map(cert, "universal", lambda: universal_map(universal_graph(cert.pmap.field, n, s_budget, L, w)))
     _require_verified(cert, recheck)
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")

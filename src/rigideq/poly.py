@@ -6,14 +6,15 @@ order) is graded lexicographic: total degree ascending, then lexicographic on
 exponent vectors with the first variable largest.
 
 Every product of two polynomials goes through packed_weighted_sum, which sums
-products a_t * b_t; MultiPoly * MultiPoly is its one-pair call.
+products a_t * b_t; MultiPoly * MultiPoly is its one-pair call. Every image
+of a monomial under a map comes from monomial_images.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -75,10 +76,6 @@ class MultiPoly:
         e = [0] * nvars
         e[index] = 1
         return cls(field, nvars, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, field: PrimeField, exponents: Sequence[int], coeff: int = 1) -> "MultiPoly":
-        return cls(field, len(exponents), {tuple(exponents): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -353,6 +350,30 @@ class PolyMap:
         return pmap
 
 
+def _grlex_parent(e: tuple) -> tuple[int, tuple]:
+    """(i, parent): the first nonzero variable of e and e with it lowered by one."""
+    i = next(i for i, ei in enumerate(e) if ei)
+    return i, e[:i] + (e[i] - 1,) + e[i + 1 :]
+
+
+def monomial_images(monomials: Sequence[tuple], one, coords: Sequence, mul) -> Iterator:
+    """Yield the images of grlex-ordered ``monomials`` under the map with
+    coordinates ``coords``: the constant's is ``one``, every other's is
+    mul(parent's image, coordinate of the variable _grlex_parent lowers).
+    Only images below the top degree are kept here, for their children."""
+    if any(monomials[0]):
+        raise ValueError("monomials must start at the constant monomial")
+    top = sum(monomials[-1])
+    kept = {monomials[0]: one}
+    yield one
+    for e in monomials[1:]:
+        i, parent = _grlex_parent(e)
+        image = mul(kept[parent], coords[i])
+        if sum(e) < top:
+            kept[e] = image
+        yield image
+
+
 def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
     """Exact symbolic composition q(P_1, ..., P_N)."""
     if q.nvars != pmap.out_arity:
@@ -361,27 +382,15 @@ def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
     if q.field != field:
         raise ValueError("mixed fields")
     m = pmap.in_arity
-    result = MultiPoly.zero(field, m)
-    pow_cache: list[dict[int, MultiPoly]] = [
-        {0: MultiPoly.constant(field, m, 1)} for _ in range(pmap.out_arity)
-    ]
-
-    def coord_pow(i: int, e: int) -> MultiPoly:
-        cache = pow_cache[i]
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for k in range(best + 1, e + 1):
-                acc = acc * pmap.coordinates[i]
-                cache[k] = acc
-        return cache[e]
-
-    for exps, coeff in q.sorted_terms():
-        term = MultiPoly.constant(field, m, coeff)
-        for i, ei in enumerate(exps):
-            if ei:
-                term = term * coord_pow(i, ei)
-        result = result + term
+    closure = {(0,) * q.nvars}
+    for e in q.terms:
+        while e not in closure:
+            closure.add(e)
+            e = _grlex_parent(e)[1]
+    monomials = sorted(closure, key=grlex_key)
+    images = monomial_images(monomials, MultiPoly.constant(field, m, 1), pmap.coordinates, mul)
+    terms = (q.terms[e] * image for e, image in zip(monomials, images) if e in q.terms)
+    result = sum(terms, MultiPoly.zero(field, m))
 
     dq, dp = q.degree(), pmap.degree()
     if dq is NEG_INF:

@@ -28,12 +28,16 @@ from rigideq import (
     poly_compose,
     rank_map,
     rigidity_map,
+    sv_map,
+    SVParams,
     tensor_map,
     TensorParams,
 )
 import rigideq.annihilator as annihilator
 from rigideq import cli
 from rigideq.annihilator import VerificationError, vector_to_poly
+
+from test_poly import reference_compose
 
 
 def reference_kernel(A, p):
@@ -104,6 +108,27 @@ def reference_sampled(pmap, D, rows, seed):
     for t in range(rows):
         beta = [rng.randrange(p) for _ in range(pmap.in_arity)]
         A[t, :] = _monomial_values(basis, pmap.evaluate(beta), p)
+    return A, basis
+
+
+def reference_symbolic(pmap, D):
+    """The symbolic matrix built one column at a time, each column a fresh
+    composition of its monomial, rows in order of first appearance."""
+    basis = monomial_basis(pmap.out_arity, D)
+    columns = []
+    row_index = {}
+    for mono in basis:
+        composed = reference_compose(MultiPoly(pmap.field, len(mono), {mono: 1}), pmap)
+        col = {}
+        for e, c in composed.terms.items():
+            if e not in row_index:
+                row_index[e] = len(row_index)
+            col[row_index[e]] = c
+        columns.append(col)
+    A = np.zeros((max(len(row_index), 1), len(basis)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            A[i, j] = c
     return A, basis
 
 
@@ -229,6 +254,21 @@ def test_symbolic_row_cap_refusal(f101):
         composition_matrix_symbolic(pmap, 3)
 
 
+@pytest.mark.parametrize("name", ["rank(3,2)", "tensor(2,3,1)", "sv(12,2)"])
+def test_symbolic_matches_column_builder(name, f101):
+    pmap, d_max = {
+        "rank(3,2)": (rank_map(f101, 3, 2), 3),
+        "tensor(2,3,1)": (tensor_map(TensorParams(f101, 2, 3, 1)), 2),
+        "sv(12,2)": (sv_map(SVParams(f101, 12, 2)), 2),
+    }[name]
+    for D in range(1, d_max + 1):
+        A, basis = composition_matrix_symbolic(pmap, D)
+        B, ref_basis = reference_symbolic(pmap, D)
+        assert basis == ref_basis and A.shape == B.shape and A.dtype == B.dtype
+        # the same rows, possibly in another order
+        assert sorted(map(tuple, A.tolist())) == sorted(map(tuple, B.tolist())), (name, D)
+
+
 def test_sampled_deterministic(f101):
     pmap = rank_map(f101, 2, 1)
     A1, b1 = composition_matrix_sampled(pmap, 2, 20, "seed-x")
@@ -303,25 +343,14 @@ def test_find_annihilator_rank32_sampled():
 def test_symbolic_verification_failure_raises(f101, tmp_path, monkeypatch):
     real = annihilator.poly_compose
 
-    def forged(q, pmap):
-        # monomials (the matrix columns) compose truly; the candidate Q does not
-        out = real(q, pmap)
-        return out if len(q.terms) == 1 else out + 1
-
-    monkeypatch.setattr(annihilator, "poly_compose", forged)
+    # the matrix is built without poly_compose; only the check of Q sees the forgery
+    monkeypatch.setattr(annihilator, "poly_compose", lambda q, pmap: real(q, pmap) + 1)
     with pytest.raises(VerificationError, match="does not annihilate"):
         find_annihilator(rank_map(f101, 2, 1), SolverConfig(d_min=1, d_max=2))
     out = tmp_path / "cert.json"
     argv = ["solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2", "--out", str(out)]
     assert cli.main(argv) == 4
     assert not out.exists()
-
-
-def test_symbolic_verified_records_the_check(f101):
-    pmap = rank_map(f101, 2, 1)
-    for verify in (True, False):
-        cert = find_annihilator(pmap, SolverConfig(d_min=1, d_max=2, verify=verify))
-        assert cert.verification["symbolic_verified"] is verify
 
 
 def test_solve_under_python_O_is_byte_identical():
@@ -370,8 +399,6 @@ def test_solver_config_validation():
         SolverConfig(mode="quantum")
     with pytest.raises(ValueError):
         SolverConfig(d_min=3, d_max=2)
-    with pytest.raises(ValueError):
-        SolverConfig(sample_margin=0)
 
 
 def test_certificate_json_round_trip(f101):

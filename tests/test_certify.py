@@ -8,19 +8,23 @@ import pytest
 from rigideq import (
     AnnihilatorCertificate,
     DenseMatrix,
+    LinearCircuit,
     MultiPoly,
-    PolyMap,
     PrimeField,
     RigidityParams,
     SolverConfig,
     certify_circuit_lower_bound,
     certify_rigid,
+    circuit_matrix,
     determinant_poly,
     find_annihilator,
     is_rigid_bruteforce,
     rank_map,
     rigidity_map,
     rigidity_witness,
+    universal_eval,
+    universal_graph,
+    universal_map,
     verify_pit,
     verify_symbolic,
 )
@@ -168,39 +172,62 @@ def test_certify_rigid_refuses_a_relabelled_map():
 # ---------------------------------------------------------------- circuit certificates
 
 
-def _synthetic_universal_cert(field):
-    """Hand-built universal-map-shaped certificate for exercising the
-    matrix-orientation and refusal logic without a costly solve."""
-    x1 = MultiPoly.variable(field, 2, 0)
-    x2 = MultiPoly.variable(field, 2, 1)
-    zero = MultiPoly.zero(field, 2)
-    # coords row-major over (input i, output j): U = diag(x1, x2)
-    pmap = PolyMap(field, 2, (x1, zero, zero, x2), label="universal(2,1,1,1)")
-    # Q = coordinate (i=0, j=1): annihilates P since that entry is zero
-    q = MultiPoly.variable(field, 4, 1)
-    cert = AnnihilatorCertificate(pmap, q, 1, "symbolic", 0, {"symbolic_verified": True})
-    assert verify_symbolic(q, pmap)
-    return cert
+@pytest.fixture(scope="module")
+def universal_cert():
+    # the smallest universal graph on 2x2 matrices; its map has an
+    # annihilator of degree 5 over F_101
+    graph = universal_graph(PrimeField(101), 2, 1, 1, 1)
+    cert = find_annihilator(universal_map(graph), SolverConfig(mode="sampled", d_min=5, d_max=5))
+    assert cert is not None and cert.label == "universal(2,1,1,1)"
+    return graph, cert
 
 
-def test_certify_circuit_lower_bound_orientation(f101):
-    cert = _synthetic_universal_cert(f101)
-    # Q picks the coefficient of input 0 at output 1 = matrix entry (1, 0)
-    m = DenseMatrix(f101, 2, 2, (0, 0, 7, 0))
-    result = certify_circuit_lower_bound(m, cert)
-    assert result is not None and result.value == 7
-    assert (result.n, result.s_budget, result.L, result.w) == (2, 1, 1, 1)
-    diag = DenseMatrix(f101, 2, 2, (3, 0, 0, 4))
-    assert certify_circuit_lower_bound(diag, cert) is None
+def test_certify_circuit_lower_bound_orientation(universal_cert):
+    graph, cert = universal_cert
+    F = graph.field
+    rng = random.Random("cert:orientation")
+    certified = 0
+    for _ in range(10):
+        # U[i][j] is the coefficient of input i at output j, which is entry (j, i)
+        U = universal_eval(graph, [rng.randrange(F.p)], [rng.randrange(F.p)])
+        image = DenseMatrix(F, 2, 2, (U[0][0], U[1][0], U[0][1], U[1][1]))
+        assert certify_circuit_lower_bound(image, cert) is None
+        transposed = DenseMatrix(F, 2, 2, (U[0][0], U[0][1], U[1][0], U[1][1]))
+        result = certify_circuit_lower_bound(transposed, cert)
+        if result is not None:
+            certified += 1
+            assert result.value == cert.q.evaluate([U[j][i] for i in range(2) for j in range(2)])
+            assert (result.n, result.s_budget, result.L, result.w) == (2, 1, 1, 1)
+    assert certified
+    # one edge from input 0 to output 1 is a circuit within the budget
+    one_edge = LinearCircuit(F, 2, 2, ((0, 3, 7),), (2, 3))
+    m = DenseMatrix(F, 2, 2, tuple(x for row in circuit_matrix(one_edge) for x in row))
+    assert m.entries == (0, 0, 7, 0)
+    assert certify_circuit_lower_bound(m, cert) is None
 
 
-def test_certify_circuit_lower_bound_validation(f101):
-    cert = _synthetic_universal_cert(f101)
+def test_certify_circuit_lower_bound_validation(universal_cert):
+    _, cert = universal_cert
     with pytest.raises(ValueError, match="2x2"):
-        certify_circuit_lower_bound(DenseMatrix(f101, 3, 3, (1,) * 9), cert)
+        certify_circuit_lower_bound(DenseMatrix(cert.pmap.field, 3, 3, (1,) * 9), cert)
     F5 = PrimeField(5)
     rigid_cert = find_annihilator(
         rigidity_map(RigidityParams(F5, 2, 1, 0)), SolverConfig(d_min=2, d_max=2)
     )
     with pytest.raises(ValueError, match="not for a universal"):
         certify_circuit_lower_bound(DenseMatrix(F5, 2, 2, (1, 0, 0, 1)), rigid_cert)
+
+
+def test_certify_circuit_lower_bound_refuses_a_relabelled_map():
+    # det2 (the rank(2,1) annihilator) relabelled universal(2,2,1,2) would
+    # certify I_2, which the 2-edge circuit 0->2, 1->3 computes
+    F = PrimeField(101)
+    cert = find_annihilator(rank_map(F, 2, 1), SolverConfig(d_min=1, d_max=2))
+    identity = DenseMatrix(F, 2, 2, (1, 0, 0, 1))
+    two_edges = LinearCircuit(F, 2, 2, ((0, 2, 1), (1, 3, 1)), (2, 3))
+    assert circuit_matrix(two_edges) == [[1, 0], [0, 1]]
+    assert cert.q.evaluate(list(identity.entries)) != 0
+    for label, match in (("universal(2,2,1,2)", "not the universal"), ("universal(2,9,9,9)", "names no universal map")):
+        forged = dataclasses.replace(cert, pmap=dataclasses.replace(cert.pmap, label=label))
+        with pytest.raises(UnverifiedCertificateError, match=match):
+            certify_circuit_lower_bound(identity, forged)

@@ -165,6 +165,24 @@ def test_certify_refuses_a_relabelled_map(tmp_path, capsys):
     assert run("oracle", "--in", str(matrix), "--rigid", "1,1") == 1
 
 
+def test_certify_refuses_a_relabelled_universal_map(tmp_path, capsys):
+    # det2 relabelled universal(2,2,1,2) would call I_2 circuit-hard, yet the
+    # 2-edge circuit 0->2, 1->3 computes it
+    cert = tmp_path / "rank.json"
+    assert run("solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2", "--out", str(cert)) == 0
+    doc = json.loads(cert.read_text())
+    doc["label"] = doc["map"]["label"] = "universal(2,2,1,2)"
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("101 2 2\n1 0\n0 1\n")
+    out = tmp_path / "circuit.json"
+    capsys.readouterr()
+    assert run("certify", "--in", str(matrix), "--cert", str(forged), "--out", str(out)) == 4
+    assert "not the universal(2,2,1,2) map" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
     assert run("verify", "--cert", str(rigidity_cert_file)) == 0
     assert run("verify", "--cert", str(rigidity_cert_file), "--trials", "10") == 0

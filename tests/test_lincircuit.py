@@ -227,7 +227,7 @@ def test_find_nonzero_point_examples():
 def test_find_nonzero_point_errors(f101):
     with pytest.raises(ValueError, match="zero polynomial"):
         find_nonzero_point(MultiPoly.zero(f101, 2), 3)
-    q = MultiPoly.monomial(f101, (4, 0))
+    q = MultiPoly(f101, 2, {(4, 0): 1})
     with pytest.raises(ValueError, match="degree bound"):
         find_nonzero_point(q, 3)
     small = MultiPoly.variable(PrimeField(3), 1, 0)

@@ -9,7 +9,7 @@ import pytest
 
 from rigideq import MultiPoly, PolyMap, PrimeField
 from rigideq import determinant_poly, lagrange_basis, monomial_basis, poly_compose
-from rigideq.poly import NEG_INF, grlex_key, packed_weighted_sum
+from rigideq.poly import NEG_INF, grlex_key, monomial_images, packed_weighted_sum
 
 from conftest import random_map, random_poly
 
@@ -32,7 +32,7 @@ def test_eval_examples():
     )
     assert q.evaluate([3, 5]) == 0  # 15 - 1 = 14 = 0 mod 7
     F5 = PrimeField(5)
-    sq = MultiPoly.monomial(F5, (2,))
+    sq = MultiPoly(F5, 1, {(2,): 1})
     assert sq.evaluate([4]) == 1  # 16 mod 5
     assert MultiPoly.zero(F5, 3).evaluate([1, 2, 3]) == 0
     with pytest.raises(ValueError):
@@ -181,12 +181,75 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
 # ---------------------------------------------------------------- PolyMap / compose
 
 
+def reference_compose(q, pmap):
+    """q(P_1, ..., P_N) term by term, each coordinate power from a per-call
+    cache: the reference that poly_compose must match exactly."""
+    field, m = pmap.field, pmap.in_arity
+    result = MultiPoly.zero(field, m)
+    pow_cache = [{0: MultiPoly.constant(field, m, 1)} for _ in range(pmap.out_arity)]
+
+    def coord_pow(i, e):
+        cache = pow_cache[i]
+        if e not in cache:
+            best = max(k for k in cache if k <= e)
+            acc = cache[best]
+            for k in range(best + 1, e + 1):
+                acc = acc * pmap.coordinates[i]
+                cache[k] = acc
+        return cache[e]
+
+    for exps, coeff in q.sorted_terms():
+        term = MultiPoly.constant(field, m, coeff)
+        for i, ei in enumerate(exps):
+            if ei:
+                term = term * coord_pow(i, ei)
+        result = result + term
+    return result
+
+
+def test_compose_matches_reference(f101):
+    rng = random.Random("poly:compose-ref")
+    cases = []
+    for _ in range(60):
+        n_in, n_out = rng.randrange(1, 4), rng.randrange(1, 5)
+        cases.append((random_poly(rng, f101, n_out, 4), random_map(rng, f101, n_in, n_out, 3)))
+    # exponents >= 2 in variables after the first nonzero one
+    pmap = random_map(rng, f101, 2, 3, 2)
+    cases.append((MultiPoly(f101, 3, {(1, 2, 3): 5, (0, 3, 2): 7, (2, 0, 2): 9}), pmap))
+    cases.append((MultiPoly.zero(f101, 3), pmap))
+    cases.append((MultiPoly.constant(f101, 3, 42), pmap))
+    q = random_poly(rng, f101, 3, 4)
+    zero_map = PolyMap(f101, 2, (MultiPoly.zero(f101, 2),) * 3)
+    cases.append((q + 3, zero_map))
+    constant_coord = PolyMap(f101, 2, (MultiPoly.constant(f101, 2, 4),) + pmap.coordinates[1:])
+    cases.append((q, constant_coord))
+    for q, pmap in cases:
+        assert poly_compose(q, pmap) == reference_compose(q, pmap), (q, pmap.coordinates)
+    assert poly_compose(q + 3, zero_map) == MultiPoly.constant(f101, 2, (q + 3).terms.get((0, 0, 0), 0))
+
+
+def test_monomial_images_one_product_each():
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    basis = monomial_basis(2, 3)
+    images = list(monomial_images(basis, 1, (2, 3), mul))
+    assert images == [2**e1 * 3**e2 for e1, e2 in basis]
+    assert len(products) == len(basis) - 1
+    with pytest.raises(ValueError, match="constant"):
+        list(monomial_images(basis[1:], 1, (2, 3), mul))
+
+
+
 def _rank1_map_2x2(field):
     # P(u1,u2,v1,v2) = (u1v1, u1v2, u2v1, u2v2)
     coords = []
     for i in range(2):
         for j in range(2):
-            coords.append(MultiPoly.monomial(field, tuple(1 if t in (i, 2 + j) else 0 for t in range(4))))
+            coords.append(MultiPoly(field, 4, {tuple(1 if t in (i, 2 + j) else 0 for t in range(4)): 1}))
     return PolyMap(field, 4, tuple(coords), label="rank1")
 
 
