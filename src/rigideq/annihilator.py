@@ -183,11 +183,9 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
         raise ValueError("modulus too large for the int64 sampled build")
     basis = monomial_basis(pmap.out_arity, D)
     rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
+    points = [[rng.randrange(p) for _ in range(pmap.in_arity)] for _ in range(rows)]
     # coords[i, t] is coordinate i of P(beta_t)
-    coords = np.array(
-        [pmap.evaluate([rng.randrange(p) for _ in range(pmap.in_arity)]) for _ in range(rows)],
-        dtype=np.int64,
-    ).reshape(rows, pmap.out_arity).T
+    coords = pmap.evaluate_many(points).T
     images = monomial_images(basis, np.ones(rows, dtype=np.int64), coords, lambda a, b: a * b % p)
     return np.stack(list(images), axis=1), basis
 

@@ -64,10 +64,9 @@ def verify_pit(q: MultiPoly, pmap: PolyMap, trials: int, seed) -> tuple[bool, Pi
     per_trial = min(Fraction(dd, p), Fraction(1))
     report = PitReport(trials, p, dd, per_trial, per_trial**trials)
     rng = random.Random(f"{seed}:pit:{pmap.label}")
-    for _ in range(trials):
-        beta = [rng.randrange(p) for _ in range(pmap.in_arity)]
-        if q.evaluate(pmap.evaluate(beta)) != 0:
-            return False, report
+    betas = [[rng.randrange(p) for _ in range(pmap.in_arity)] for _ in range(trials)]
+    if any(q.evaluate(image) for image in pmap.evaluate_many(betas).tolist()):
+        return False, report
     return True, report
 
 
@@ -89,12 +88,14 @@ def _require_labelled_map(cert: AnnihilatorCertificate, kind: str, build):
         raise UnverifiedCertificateError(f"embedded map is not the {cert.label} map")
 
 
-def _require_verified(cert: AnnihilatorCertificate, recheck: bool):
+def _require_verified(cert: AnnihilatorCertificate):
+    """Refuse unless the certificate claims symbolic verification, Q is nonzero
+    and Q o P = 0 holds here: the stored flag alone is never trusted."""
     if not cert.verification.get("symbolic_verified"):
         raise UnverifiedCertificateError("certificate lacks symbolic verification; refusing")
     if cert.q.is_zero():
         raise UnverifiedCertificateError("certificate polynomial is zero")
-    if recheck and not verify_symbolic(cert.q, cert.pmap):
+    if not verify_symbolic(cert.q, cert.pmap):
         raise UnverifiedCertificateError("certificate failed symbolic re-verification")
 
 
@@ -127,7 +128,7 @@ class RigidityCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate, recheck: bool = False):
+def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate):
     """RigidityCertificate when Q(M) != 0, else None ("not certified").
 
     The label's (n, r, k) is what gets certified, so the embedded map must be
@@ -138,7 +139,7 @@ def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate, recheck: bo
         raise ValueError(f"certificate is not for a rigidity map: label {cert.label!r}")
     n, r, k = map(int, m.groups())
     _require_labelled_map(cert, "rigidity", lambda: rigidity_map(RigidityParams(cert.pmap.field, n, r, k)))
-    _require_verified(cert, recheck)
+    _require_verified(cert)
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")
     if (matrix.rows, matrix.cols) != (n, n):
@@ -180,14 +181,14 @@ class CircuitLowerBoundCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def certify_circuit_lower_bound(matrix: DenseMatrix, cert: AnnihilatorCertificate, recheck: bool = False):
+def certify_circuit_lower_bound(matrix: DenseMatrix, cert: AnnihilatorCertificate):
     """Certificate when Q(M) != 0, recording the exact excluded budget."""
     m = _UNIVERSAL_LABEL.match(cert.label)
     if not m:
         raise ValueError(f"certificate is not for a universal circuit map: label {cert.label!r}")
     n, s_budget, L, w = map(int, m.groups())
     _require_labelled_map(cert, "universal", lambda: universal_map(universal_graph(cert.pmap.field, n, s_budget, L, w)))
-    _require_verified(cert, recheck)
+    _require_verified(cert)
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")
     if (matrix.rows, matrix.cols) != (n, n):

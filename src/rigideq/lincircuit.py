@@ -214,7 +214,8 @@ def universal_map(graph: UniversalGraph) -> PolyMap:
     for i in range(n):
         for j in range(n):
             entry = coeff[(graph.L + 1, j)][i]
-            assert entry.degree() <= degree_bound
+            if entry.degree() > degree_bound:
+                raise AssertionError(f"U[{i}][{j}] has degree {entry.degree()} > {degree_bound}")
             coords.append(entry)
     return PolyMap(F, nvars, tuple(coords), label=f"universal({n},{graph.s_budget},{graph.L},{graph.w})")
 

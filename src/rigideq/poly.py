@@ -7,13 +7,21 @@ exponent vectors with the first variable largest.
 
 Every product of two polynomials goes through packed_weighted_sum, which sums
 products a_t * b_t; MultiPoly * MultiPoly is its one-pair call. Every image
-of a monomial under a map comes from monomial_images.
+of a monomial under a map comes from monomial_images. Every evaluation of a
+map at points goes through PolyMap.evaluate_many, in numpy; MultiPoly.evaluate
+is the scalar evaluator of one polynomial.
+
+MultiPoly(...) validates its terms (exponent length and sign, coefficients
+reduced mod p, zeros dropped), since certificates come in through it.
+Arithmetic here builds terms that are clean by construction and returns them
+through MultiPoly._trusted, which checks nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
@@ -27,6 +35,8 @@ NEG_INF = float("-inf")
 
 # Sums of at least this many term products take the packed numpy path.
 _NUMPY_MUL_THRESHOLD = 50_000
+# Term values computed at once per coordinate by PolyMap.evaluate_many.
+_EVAL_CELLS = 1 << 20
 
 
 def grlex_key(exponents: Sequence[int]):
@@ -52,12 +62,25 @@ class MultiPoly:
             c = coeff % field.p
             if c:
                 clean[exps] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        self._assign(field, nvars, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def _assign(self, field: PrimeField, nvars: int, terms: dict):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _trusted(cls, field: PrimeField, nvars: int, terms: dict) -> "MultiPoly":
+        """A polynomial from terms that are already clean: exponent tuples of
+        nvars Python ints >= 0 and coefficients in [1, p). Nothing is
+        re-checked, so only code in this module that builds such terms calls
+        it; input from outside goes through MultiPoly(...)."""
+        poly = object.__new__(cls)
+        poly._assign(field, nvars, terms)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -86,7 +109,7 @@ class MultiPoly:
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]
@@ -129,13 +152,13 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MultiPoly(self.field, self.nvars, out)
+        return MultiPoly._trusted(self.field, self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.field.p
-        return MultiPoly(self.field, self.nvars, {e: p - c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.field, self.nvars, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, MultiPoly) else -other)
@@ -146,7 +169,8 @@ class MultiPoly:
             if c == 0:
                 return MultiPoly.zero(self.field, self.nvars)
             p = self.field.p
-            return MultiPoly(self.field, self.nvars, {e: v * c % p for e, v in self.terms.items()})
+            # c is a unit mod the prime p, so no product is zero
+            return MultiPoly._trusted(self.field, self.nvars, {e: v * c % p for e, v in self.terms.items()})
         self._check_compatible(other)
         return packed_weighted_sum([(self, other)], self.field, self.nvars)
 
@@ -246,14 +270,17 @@ class MultiPoly:
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
     """Sum of the products a_t * b_t: the one polynomial product of rigideq.
 
-    From _NUMPY_MUL_THRESHOLD term pairs on, exponent vectors are packed into
-    uint64 keys and all products are aggregated in one numpy pass. Smaller
-    sums, exponents that do not pack into 64 bits and moduli whose sums could
-    leave int64 add every term pair into one dict instead.
+    From _NUMPY_MUL_THRESHOLD term pairs on, every term product becomes one
+    uint64 word: the exponent vector packed above the residue of the product
+    of coefficients. One sort brings equal exponents together, and their
+    residues are summed and unpacked in numpy. Smaller sums, exponents that
+    do not fit beside a residue in 64 bits and moduli whose sums could leave
+    int64 add every term pair into one dict instead.
     """
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
     p = field.p
     total = sum(len(a.terms) * len(b.terms) for a, b in pairs)
+    vbits = (p - 1).bit_length()  # a residue takes the low vbits bits of a word
     bits = None
     # products of residues are below p**2, and each key sums at most total of them reduced mod p
     if total >= _NUMPY_MUL_THRESHOLD and max((p - 1) ** 2, total * (p - 1)) < 2**63:
@@ -263,7 +290,7 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
             for i, (x, y) in enumerate(zip(map(max, zip(*a.terms)), map(max, zip(*b.terms)))):
                 bound[i] = max(bound[i], x + y)
         bits = [max(1, x.bit_length()) for x in bound]
-        if sum(bits) > 64:
+        if vbits + sum(bits) > 64:
             bits = None
     if bits is None:
         out: dict[tuple, int] = {}
@@ -273,8 +300,8 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
                 for eb, cb in b_items:
                     e = tuple(map(add, ea, eb))
                     out[e] = out.get(e, 0) + ca * cb
-        return MultiPoly(field, nvars, out)
-    shifts = [0] * nvars
+        return MultiPoly._trusted(field, nvars, {e: r for e, c in out.items() if (r := c % p)})
+    shifts = [vbits] * nvars
     for i in range(1, nvars):
         shifts[i] = shifts[i - 1] + bits[i - 1]
 
@@ -285,22 +312,20 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
             keys |= exps[:, i] << np.uint64(s)
         return keys, np.array(list(terms.values()), dtype=np.int64)
 
-    key_chunks = []
-    val_chunks = []
+    chunks = []
     for a, b in pairs:
         ka, va = pack(a.terms)
         kb, vb = pack(b.terms)
-        key_chunks.append((ka[:, None] + kb[None, :]).ravel())
-        val_chunks.append((va[:, None] * vb[None, :] % p).ravel())
-    uniq, inverse = np.unique(np.concatenate(key_chunks), return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(acc, inverse, np.concatenate(val_chunks))
-    acc %= p
-    masks = [(1 << w) - 1 for w in bits]
-    out = {}
-    for key, c in zip(uniq.tolist(), acc.tolist()):
-        out[tuple((key >> shifts[i]) & masks[i] for i in range(nvars))] = c
-    return MultiPoly(field, nvars, out)
+        chunks.append(((ka[:, None] + kb[None, :]) | (va[:, None] * vb[None, :] % p).astype(np.uint64)).ravel())
+    words = np.sort(np.concatenate(chunks))
+    keys = words >> np.uint64(vbits)
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    acc = np.add.reduceat((words & np.uint64((1 << vbits) - 1)).astype(np.int64), starts) % p
+    nonzero = acc != 0
+    words, acc = words[starts[nonzero]], acc[nonzero]
+    # one column of Python ints per variable; zip(*cols) gives the exponent tuples
+    cols = [((words >> np.uint64(s)) & np.uint64((1 << w) - 1)).tolist() for s, w in zip(shifts, bits)]
+    return MultiPoly._trusted(field, nvars, dict(zip(zip(*cols), acc.tolist())))
 
 
 @dataclass(frozen=True)
@@ -329,7 +354,53 @@ class PolyMap:
         return max(degs) if degs else NEG_INF
 
     def evaluate(self, point: Sequence[int]) -> list[int]:
-        return [q.evaluate(point) for q in self.coordinates]
+        return self.evaluate_many([point])[0].tolist()
+
+    def evaluate_many(self, points: Sequence[Sequence[int]]) -> np.ndarray:
+        """(R, N) array whose row t holds every coordinate at points[t].
+
+        Entries are residues mod p: int64 while the products and sums below
+        fit in int64, else Python ints in an object array. Each term's
+        value is its coefficient times one power-table entry per variable it
+        uses, reduced mod p after every product; rows are taken in chunks of
+        at most _EVAL_CELLS term values per coordinate.
+        """
+        p, m = self.field.p, self.in_arity
+        longest = max([len(q.terms) for q in self.coordinates], default=0)
+        # the overflow guard of packed_weighted_sum: products of two residues,
+        # then sums of at most `longest` residues
+        dtype = np.int64 if max((p - 1) ** 2, longest * (p - 1)) < 2**63 else object
+        rows = []
+        for point in points:
+            if len(point) != m:
+                raise ValueError(f"arity mismatch: point of length {len(point)}, in_arity={m}")
+            rows.append([v % p for v in point])
+        X = np.array(rows, dtype=dtype).reshape(len(rows), m)
+        # per coordinate: its exponents (terms x m), coefficients, and the
+        # variables it uses; top[i] is the largest exponent of variable i
+        coords = []
+        top = np.zeros(m, dtype=np.intp)
+        for q in self.coordinates:
+            E = np.fromiter(chain.from_iterable(q.terms), dtype=np.intp, count=len(q.terms) * m).reshape(len(q.terms), m)
+            coords.append((E, np.array(list(q.terms.values()), dtype=dtype), np.flatnonzero(E.any(axis=0))))
+            top = np.maximum(top, E.max(axis=0, initial=0))
+        out = np.zeros((len(X), self.out_arity), dtype=dtype)
+        step = max(1, _EVAL_CELLS // max(longest, 1))
+        for start in range(0, len(X), step):
+            x = X[start:start + step]
+            # pows[i][t, k] = x[t, i]**k mod p
+            pows = []
+            for i in range(m):
+                table = np.ones((len(x), int(top[i]) + 1), dtype=dtype)
+                for k in range(1, table.shape[1]):
+                    table[:, k] = table[:, k - 1] * x[:, i] % p
+                pows.append(table)
+            for j, (E, C, used) in enumerate(coords):
+                values = np.broadcast_to(C, (len(x), len(C)))
+                for i in used:
+                    values = values * pows[i][:, E[:, i]] % p
+                out[start:start + step, j] = values.sum(axis=1) % p
+        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -148,10 +148,10 @@ def test_unverified_certificates_refused(rigidity210_cert):
         0,
         {"symbolic_verified": True},
     )
+    # the stored flag is never trusted: Q = x11 evaluates nonzero at m, but
+    # Q o P != 0, so nothing is certified
     with pytest.raises(UnverifiedCertificateError, match="re-verification"):
-        certify_rigid(m, corrupted, recheck=True)
-    # without recheck the stored flag is trusted; Q = x11 evaluates nonzero
-    assert certify_rigid(m, corrupted) is not None
+        certify_rigid(m, corrupted)
 
 
 def test_certify_rigid_refuses_a_relabelled_map():

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import rigideq.lincircuit as lc
 from rigideq import (
     LinearCircuit,
     MultiPoly,
@@ -131,6 +132,20 @@ def test_universal_map_matches_bruteforce(f101):
         bf = universal_map_bruteforce(g)
         assert dp.coordinates == bf.coordinates
         assert dp.label == f"universal({n},{s},{L},{w})"
+
+
+def test_universal_map_degree_check_raises(f101, monkeypatch):
+    # a product that overshoots the degree bound is refused by an explicit
+    # check, which python -O keeps
+    real = lc.packed_weighted_sum
+
+    def overshoot(pairs, field, nvars):
+        out = real(pairs, field, nvars)
+        return out * MultiPoly(field, nvars, {(200,) + (0,) * (nvars - 1): 1})
+
+    monkeypatch.setattr(lc, "packed_weighted_sum", overshoot)
+    with pytest.raises(AssertionError, match="degree"):
+        universal_map(universal_graph(f101, 1, 1, L=1, w=1))
 
 
 def test_universal_map_single_path(f101):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from rigideq import MultiPoly, PolyMap, PrimeField
+from rigideq import MultiPoly, PolyMap, PrimeField, universal_graph, universal_map
 from rigideq import determinant_poly, lagrange_basis, monomial_basis, poly_compose
 from rigideq.poly import NEG_INF, grlex_key, monomial_images, packed_weighted_sum
 
@@ -81,6 +81,19 @@ def test_json_round_trip(f101):
     assert es == [e for e, _ in q.sorted_terms()]
 
 
+def test_json_input_is_validated(f101):
+    # certificates come in through from_json_dict, which keeps the full checks
+    doc = {"p": 101, "nvars": 2, "terms": [{"e": [1, -1], "c": 3}]}
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly.from_json_dict(doc)
+    doc["terms"] = [{"e": [1, 0, 2], "c": 3}]
+    with pytest.raises(ValueError, match="length"):
+        MultiPoly.from_json_dict(doc)
+    doc["terms"] = [{"e": [1, 0], "c": 205}, {"e": [0, 1], "c": -1}, {"e": [0, 0], "c": 202}]
+    q = MultiPoly.from_json_dict(doc)
+    assert q.terms == {(1, 0): 3, (0, 1): 100}
+
+
 def test_immutability(f101):
     q = MultiPoly.variable(f101, 2, 0)
     with pytest.raises(AttributeError):
@@ -122,20 +135,26 @@ def test_packed_product_matches_schoolbook(f101):
 
 
 def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
-    unique_calls = []
-    real_unique = np.unique
+    # only the packed branch sorts its words
+    sort_calls = []
+    real_sort = np.sort
 
     def spy(*args, **kwargs):
-        unique_calls.append(len(args[0]))
-        return real_unique(*args, **kwargs)
+        sort_calls.append(len(args[0]))
+        return real_sort(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(np, "sort", spy)
 
     def check(pairs, field, nvars, packed):
-        unique_calls.clear()
+        sort_calls.clear()
         got = packed_weighted_sum(pairs, field, nvars)
         assert got.terms == _schoolbook(pairs, field)
-        assert bool(unique_calls) == packed
+        assert bool(sort_calls) == packed
+        # the result skipped validation, so it must already be what
+        # validation would make of its terms
+        assert all(type(c) is int and 1 <= c < field.p for c in got.terms.values())
+        assert all(type(e) is tuple and len(e) == nvars and all(type(x) is int for x in e) for e in got.terms)
+        assert got == MultiPoly(field, nvars, _schoolbook(pairs, field))
 
     rng = random.Random("poly:wsum")
     for trial in range(10):
@@ -155,9 +174,9 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     # a sum that cancels to zero, on both sides of the threshold
     a, b = pairs[0]
     for x, packed in ((a, True), (MultiPoly(f101, 4, dict(list(a.terms.items())[:5])), False)):
-        unique_calls.clear()
+        sort_calls.clear()
         assert packed_weighted_sum([(x, b), (x, -b), (-x, b), (x, b)], f101, 4).is_zero()
-        assert bool(unique_calls) == packed
+        assert bool(sort_calls) == packed
 
     # 65 variables need at least 65 key bits: above the threshold the sum
     # must still take the dict branch
@@ -171,6 +190,10 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     pairs = [(_dense_poly(rng, big_p, 3, 160, 9, coeff=big_p.p - 1),
               _dense_poly(rng, big_p, 3, 160, 9, coeff=big_p.p - 1)) for _ in range(2)]
     check(pairs, big_p, 3, packed=True)
+    # 12 variables of 5 key bits each fit in 64 bits, but not beside a
+    # 31-bit residue: the dict branch takes over
+    pairs = [(_dense_poly(rng, big_p, 12, 160, 9), _dense_poly(rng, big_p, 12, 160, 9)) for _ in range(2)]
+    check(pairs, big_p, 12, packed=False)
     # above 2**32, (p - 1)**2 leaves int64 and the dict branch takes over
     huge_p = PrimeField(2**32 + 15)
     pairs = [(_dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1),
@@ -312,6 +335,46 @@ def test_polymap_json_round_trip(f101):
     back = PolyMap.from_json_dict(doc)
     assert back.coordinates == pmap.coordinates
     assert back.label == pmap.label and back.in_arity == pmap.in_arity
+
+
+def _scalar_values(pmap, points):
+    return [[q.evaluate(point) for q in pmap.coordinates] for point in points]
+
+
+def test_evaluate_many_matches_scalar():
+    rng = random.Random("poly:evaluate_many")
+    for p in (2, 101, 10007, 2**31 - 1, 2**32 + 15):
+        field = PrimeField(p)
+        for trial in range(4):
+            m = rng.randrange(1, 5)
+            pmap = random_map(rng, field, m, 4, 5, max_terms=12)
+            # a zero coordinate and a constant one among random ones
+            coords = list(pmap.coordinates)
+            coords[rng.randrange(4)] = MultiPoly.zero(field, m)
+            coords.insert(rng.randrange(5), MultiPoly.constant(field, m, rng.randrange(1, p)))
+            pmap = PolyMap(field, m, tuple(coords), label="random")
+            # entries outside [0, p), even outside int64, are reduced first
+            points = [[rng.randrange(-2 * p, 2 * p) for _ in range(m)] for _ in range(rng.randrange(2, 40))]
+            points[-1][0] = rng.randrange(2**70, 2**71)
+            values = pmap.evaluate_many(points)
+            assert values.shape == (len(points), 5)
+            assert values.tolist() == _scalar_values(pmap, points)
+            one = pmap.evaluate_many(points[:1])
+            assert one.shape == (1, 5) and one.tolist() == _scalar_values(pmap, points[:1])
+            assert pmap.evaluate(points[0]) == _scalar_values(pmap, points[:1])[0]
+            assert all(type(v) is int for v in pmap.evaluate(points[0]))
+        assert pmap.evaluate_many([]).shape == (0, 5)
+        with pytest.raises(ValueError, match="arity"):
+            pmap.evaluate_many([[0] * (m + 1)])
+    # int64 up to (p - 1)**2 < 2**63, Python ints above
+    assert values.dtype == object and pmap.evaluate_many(points[:1]).dtype == object
+    assert PolyMap(PrimeField(2**31 - 1), 1, ()).evaluate_many([[5]]).dtype == np.int64
+
+    # the real universal(2,1,1,1) map
+    pmap = universal_map(universal_graph(PrimeField(101), 2, 1, 1, 1))
+    points = [[rng.randrange(101) for _ in range(pmap.in_arity)] for _ in range(25)]
+    assert pmap.evaluate_many(points).tolist() == _scalar_values(pmap, points)
+    assert pmap.evaluate(points[0]) == _scalar_values(pmap, points[:1])[0]
 
 
 # ---------------------------------------------------------------- bases
