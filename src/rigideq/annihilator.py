@@ -4,9 +4,11 @@ The solver realizes the dimension-count argument as code: the linear map
 Q -> Q o P restricted to polynomials of degree <= D is written as a matrix
 over F_p (columns in graded lex monomial order) and its nullspace yields an
 annihilator. Its columns are the images of the monomials under P, from
-poly.monomial_images. A sampled mode replaces the astronomically tall symbolic
-matrix with rows of point evaluations; every returned polynomial is verified
-symbolically, in both modes.
+poly.monomial_images one degree at a time: the symbolic matrix takes its rows
+straight from the packed monomials of poly.packed_images. A sampled mode
+replaces the astronomically tall symbolic matrix with rows of point
+evaluations; every returned polynomial is verified symbolically, in both
+modes.
 
 The nullspace comes from an exact blocked elimination mod p. Blocks of rows
 are reduced against the echelon rows found so far, and those rows against
@@ -23,12 +25,11 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from .field import PrimeField
-from .poly import MultiPoly, PolyMap, monomial_basis, monomial_images, poly_compose
+from .poly import MultiPoly, PolyMap, monomial_basis, monomial_images, packed_images, poly_compose
 
 
 class ResourceLimitError(RuntimeError):
@@ -161,16 +162,11 @@ def composition_matrix_symbolic(pmap: PolyMap, D: int):
             f"symbolic matrix would have ~{est_rows} rows > cap {ROW_CAP}; use sampled mode"
         )
     basis = monomial_basis(pmap.out_arity, D)
-    one = MultiPoly.constant(pmap.field, pmap.in_arity, 1)
-    row_index: dict[tuple, int] = {}
-    # each column as (row, coefficient) pairs, rows numbered in order of first appearance
-    columns = []
-    for image in monomial_images(basis, one, pmap.coordinates, mul):
-        pairs = [(row_index.setdefault(e, len(row_index)), c) for e, c in image.terms.items()]
-        columns.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    A = np.zeros((len(row_index), len(basis)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        A[col[:, 0], j] = col[:, 1]
+    _, images = packed_images(basis, pmap)
+    # rows in ascending order of their packed monomial
+    rows = np.unique(images.keys)
+    A = np.zeros((len(rows), len(basis)), dtype=np.int64)
+    A[np.searchsorted(rows, images.keys), np.repeat(np.arange(len(basis)), np.diff(images.offsets))] = images.coeffs
     return A, basis
 
 
@@ -184,10 +180,11 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     basis = monomial_basis(pmap.out_arity, D)
     rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
     points = [[rng.randrange(p) for _ in range(pmap.in_arity)] for _ in range(rows)]
-    # coords[i, t] is coordinate i of P(beta_t)
-    coords = pmap.evaluate_many(points).T
-    images = monomial_images(basis, np.ones(rows, dtype=np.int64), coords, lambda a, b: a * b % p)
-    return np.stack(list(images), axis=1), basis
+    # values[t, i] is coordinate i of P(beta_t); a column per monomial
+    values = pmap.evaluate_many(points)
+    levels = monomial_images(basis, np.ones((rows, 1), dtype=np.int64),
+                             lambda images, parents, variables: images[:, parents] * values[:, variables] % p)
+    return np.concatenate(list(levels), axis=1), basis
 
 
 # Rows of the input taken per block of the elimination in kernel().

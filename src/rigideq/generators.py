@@ -53,7 +53,8 @@ def sv_map(params: SVParams) -> PolyMap:
                 e[k + j] = deg
                 terms[tuple(e)] = (terms.get(tuple(e), 0) + c) % F.p
         q = MultiPoly(F, nvars, terms)
-        assert q.degree() <= N
+        if q.degree() > N:
+            raise AssertionError(f"SV coordinate {i} has degree {q.degree()} > N = {N}")
         coords.append(q)
     return PolyMap(F, nvars, tuple(coords), label=f"sv({N},{k})")
 
@@ -136,7 +137,8 @@ def rigidity_map(params: RigidityParams) -> PolyMap:
             q = _pad_vars(q_uv, nvars, 0) + _pad_vars(q_sv, nvars, 2 * n * r)
             coords.append(q)
     pmap = PolyMap(F, nvars, tuple(coords), label=f"rigidity({n},{r},{k})")
-    assert pmap.degree() <= max(2, n * n)
+    if pmap.degree() > max(2, n * n):
+        raise AssertionError(f"rigidity map has degree {pmap.degree()} > {max(2, n * n)}")
     return pmap
 
 
@@ -269,7 +271,8 @@ def tensor_map(params: TensorParams) -> PolyMap:
         q = MultiPoly(F, nvars, terms)
         coords.append(q)
     pmap = PolyMap(F, nvars, tuple(coords), label=f"tensor({n},{d},{r})")
-    assert all(q.degree() == d for q in pmap.coordinates)
+    if any(q.degree() != d for q in pmap.coordinates):
+        raise AssertionError(f"a tensor map coordinate is not of degree d = {d}")
     return pmap
 
 

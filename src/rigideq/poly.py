@@ -5,11 +5,22 @@ The canonical term order everywhere (iteration, serialization, solver column
 order) is graded lexicographic: total degree ascending, then lexicographic on
 exponent vectors with the first variable largest.
 
-Every product of two polynomials goes through packed_weighted_sum, which sums
-products a_t * b_t; MultiPoly * MultiPoly is its one-pair call. Every image
-of a monomial under a map comes from monomial_images. Every evaluation of a
-map at points goes through PolyMap.evaluate_many, in numpy; MultiPoly.evaluate
-is the scalar evaluator of one polynomial.
+Products of polynomials have one kernel on packed terms. A term's exponent
+vector is packed into one integer key (_Layout), so that keys of a product
+add; a term product is a uint64 word holding a tag, the key and the residue
+of the product of coefficients, and one sort and one np.add.reduceat
+(_collect) sum the words with equal tag and key. packed_weighted_sum sums
+products a_t * b_t (MultiPoly * MultiPoly is its one-pair call); _products
+makes a batch of products, one per tag. Below _NUMPY_MUL_THRESHOLD term
+pairs per sort, or when a word would need more than 64 bits, term pairs are
+added into dicts instead.
+
+Every image of a monomial under a map comes from monomial_images, one degree
+at a time: packed_images runs it with one batch of _products per degree and
+keeps the images packed, for poly_compose and the symbolic matrix, and the
+sampled matrix runs it on value vectors. Every evaluation of a map at points
+goes through PolyMap.evaluate_many, in numpy; MultiPoly.evaluate is the
+scalar evaluator of one polynomial.
 
 MultiPoly(...) validates its terms (exponent length and sign, coefficients
 reduced mod p, zeros dropped), since certificates come in through it.
@@ -21,9 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, mul
-from typing import Iterator, Mapping, Sequence
+from itertools import accumulate, chain
+from operator import add, neg
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,15 +44,17 @@ from .field import PrimeField
 # degree-bound assertions like deg(q) <= D hold vacuously for zero.
 NEG_INF = float("-inf")
 
-# Sums of at least this many term products take the packed numpy path.
-_NUMPY_MUL_THRESHOLD = 50_000
+# Batches of at least this many term products take the packed numpy path.
+_NUMPY_MUL_THRESHOLD = 256
+# Words sorted at once by a batch of _products (one product may take more).
+_SORT_WORDS = 1 << 17
 # Term values computed at once per coordinate by PolyMap.evaluate_many.
 _EVAL_CELLS = 1 << 20
 
 
 def grlex_key(exponents: Sequence[int]):
     """Sort key realizing graded lex order (x1 > x2 > ...)."""
-    return (sum(exponents), tuple(-e for e in exponents))
+    return (sum(exponents), tuple(map(neg, exponents)))
 
 
 class MultiPoly:
@@ -66,6 +79,10 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        # unpickling calls MultiPoly(...), which validates the terms again
+        return MultiPoly, (self.field, self.nvars, self.terms)
 
     def _assign(self, field: PrimeField, nvars: int, terms: dict):
         object.__setattr__(self, "field", field)
@@ -268,64 +285,203 @@ class MultiPoly:
 
 
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
-    """Sum of the products a_t * b_t: the one polynomial product of rigideq.
+    """Sum of the products a_t * b_t of polynomials.
 
-    From _NUMPY_MUL_THRESHOLD term pairs on, every term product becomes one
-    uint64 word: the exponent vector packed above the residue of the product
-    of coefficients. One sort brings equal exponents together, and their
-    residues are summed and unpacked in numpy. Smaller sums, exponents that
-    do not fit beside a residue in 64 bits and moduli whose sums could leave
-    int64 add every term pair into one dict instead.
+    From _NUMPY_MUL_THRESHOLD term pairs on, the sum is one batch of packed
+    words (_outer_words, _collect): every term product becomes a uint64 word,
+    its exponents above the residue of the product of coefficients, and one
+    sort brings equal exponents together. Smaller sums, and sums whose words
+    do not fit in 64 bits (_Layout.fits), add every term pair into one dict
+    instead.
     """
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
     p = field.p
     total = sum(len(a.terms) * len(b.terms) for a, b in pairs)
-    vbits = (p - 1).bit_length()  # a residue takes the low vbits bits of a word
-    bits = None
-    # products of residues are below p**2, and each key sums at most total of them reduced mod p
-    if total >= _NUMPY_MUL_THRESHOLD and max((p - 1) ** 2, total * (p - 1)) < 2**63:
-        bound = [0] * nvars
-        for a, b in pairs:
-            # zip(*terms) yields the exponents of one variable at a time
-            for i, (x, y) in enumerate(zip(map(max, zip(*a.terms)), map(max, zip(*b.terms)))):
-                bound[i] = max(bound[i], x + y)
-        bits = [max(1, x.bit_length()) for x in bound]
-        if vbits + sum(bits) > 64:
-            bits = None
-    if bits is None:
-        out: dict[tuple, int] = {}
-        for a, b in pairs:
-            b_items = list(b.terms.items())
-            for ea, ca in a.terms.items():
-                for eb, cb in b_items:
-                    e = tuple(map(add, ea, eb))
-                    out[e] = out.get(e, 0) + ca * cb
-        return MultiPoly._trusted(field, nvars, {e: r for e, c in out.items() if (r := c % p)})
-    shifts = [vbits] * nvars
-    for i in range(1, nvars):
-        shifts[i] = shifts[i - 1] + bits[i - 1]
-
-    def pack(terms):
-        exps = np.array(list(terms), dtype=np.uint64)
-        keys = np.zeros(len(terms), dtype=np.uint64)
-        for i, s in enumerate(shifts):
-            keys |= exps[:, i] << np.uint64(s)
-        return keys, np.array(list(terms.values()), dtype=np.int64)
-
-    chunks = []
+    if total >= _NUMPY_MUL_THRESHOLD and total * (p - 1) < 2**63:
+        left, right = [a for a, _ in pairs], [b for _, b in pairs]
+        EA, OA = _exponents(left, nvars)
+        EB, OB = _exponents(right, nvars)
+        # the largest exponent of each variable in any product
+        bound = (np.maximum.reduceat(EA, OA[:-1]) + np.maximum.reduceat(EB, OB[:-1])).max(axis=0, initial=0)
+        layout = _Layout(p, bound)
+        if layout.fits:
+            index = np.arange(len(pairs))
+            words = _outer_words(_pack(left, EA, OA, layout), _pack(right, EB, OB, layout),
+                                 index, index, np.zeros(len(pairs), dtype=np.uint64), layout)
+            return layout.unpack(*_collect(words, layout), field, nvars)
+    out: dict[tuple, int] = {}
     for a, b in pairs:
-        ka, va = pack(a.terms)
-        kb, vb = pack(b.terms)
-        chunks.append(((ka[:, None] + kb[None, :]) | (va[:, None] * vb[None, :] % p).astype(np.uint64)).ravel())
-    words = np.sort(np.concatenate(chunks))
-    keys = words >> np.uint64(vbits)
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    acc = np.add.reduceat((words & np.uint64((1 << vbits) - 1)).astype(np.int64), starts) % p
-    nonzero = acc != 0
-    words, acc = words[starts[nonzero]], acc[nonzero]
-    # one column of Python ints per variable; zip(*cols) gives the exponent tuples
-    cols = [((words >> np.uint64(s)) & np.uint64((1 << w) - 1)).tolist() for s, w in zip(shifts, bits)]
-    return MultiPoly._trusted(field, nvars, dict(zip(zip(*cols), acc.tolist())))
+        b_items = list(b.terms.items())
+        for ea, ca in a.terms.items():
+            for eb, cb in b_items:
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    return MultiPoly._trusted(field, nvars, {e: r for e, c in out.items() if (r := c % p)})
+
+
+class _Packed(NamedTuple):
+    """Polynomials packed one after another: the j-th has the terms
+    keys[offsets[j]:offsets[j + 1]] (packed exponents, see _Layout) with the
+    coefficients at the same places."""
+
+    keys: np.ndarray
+    coeffs: np.ndarray
+    offsets: np.ndarray
+
+
+class _Layout:
+    """Where the parts of a packed term sit in its word.
+
+    A key holds the exponent of variable i in bits[i] bits from shifts[i]
+    up, wide enough for the exponent bound it was made for; keys of a
+    product add. A word holds the key above the vbits bits of a residue
+    mod p, and a tag above both, so that one sort orders terms by tag, then
+    key. Keys and words are uint64 when a key and a residue fit in one
+    word and a product of two residues fits in int64 (``fits``); otherwise
+    keys and coefficients are Python ints in object arrays, and only dict
+    sums and _collect take them.
+    """
+
+    def __init__(self, p: int, bound):
+        self.p = p
+        self.vbits = (p - 1).bit_length()
+        self.bits = [max(1, x.bit_length()) for x in np.asarray(bound).tolist()]
+        self.shifts = list(accumulate(self.bits, initial=0))[:-1]
+        self.kbits = sum(self.bits)
+        self.fits = self.vbits + self.kbits <= 64 and (p - 1) ** 2 < 2**63
+        self.dtype = np.uint64 if self.fits else object  # of keys and words
+        self.cdtype = np.int64 if self.fits else object  # of coefficients
+        self.scalar = np.uint64 if self.fits else int  # shift counts and masks
+
+    def keys(self, E: np.ndarray) -> np.ndarray:
+        """The packed key of every row of an exponent array."""
+        shifts = np.array(self.shifts, dtype=self.dtype)
+        return (E.astype(self.dtype) << shifts).sum(axis=1, dtype=self.dtype)
+
+    def unpack(self, keys: np.ndarray, coeffs: np.ndarray, field: PrimeField, nvars: int) -> "MultiPoly":
+        """The polynomial with these distinct keys and nonzero coefficients."""
+        if not len(keys):
+            return MultiPoly._trusted(field, nvars, {})
+        s = self.scalar
+        # one column of Python ints per variable; zip(*cols) gives the exponent tuples
+        cols = [((keys >> s(k)) & s((1 << w) - 1)).tolist() for k, w in zip(self.shifts, self.bits)]
+        exps = zip(*cols) if cols else [()] * len(keys)
+        return MultiPoly._trusted(field, nvars, dict(zip(exps, coeffs.tolist())))
+
+
+def _exponents(polys: Sequence["MultiPoly"], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, offsets): the exponent vectors of every term of polys, one row per
+    term, the terms of polys[j] in rows offsets[j]:offsets[j + 1]."""
+    offsets = np.zeros(len(polys) + 1, dtype=np.intp)
+    np.cumsum([len(q.terms) for q in polys], out=offsets[1:])
+    total = int(offsets[-1])
+    flat = chain.from_iterable(chain.from_iterable(q.terms for q in polys))
+    return np.fromiter(flat, dtype=np.int64, count=total * m).reshape(total, m), offsets
+
+
+def _pack(polys: Sequence["MultiPoly"], E: np.ndarray, offsets: np.ndarray, layout: _Layout) -> _Packed:
+    coeffs = np.fromiter(chain.from_iterable(q.terms.values() for q in polys), dtype=layout.cdtype, count=len(E))
+    return _Packed(layout.keys(E), coeffs, offsets)
+
+
+def _outer_words(left: _Packed, right: _Packed, li, ri, tags, layout: _Layout) -> np.ndarray:
+    """The words of every term product of left[li[j]] and right[ri[j]],
+    tagged tags[j], for every j (uint64 layouts only). Products that share
+    a right factor are made by one outer product."""
+    vbits, kbits, p = np.uint64(layout.vbits), np.uint64(layout.kbits), layout.p
+    out = [np.empty(0, dtype=np.uint64)]
+    for b in np.unique(ri):
+        js = np.flatnonzero(ri == b)
+        lo = left.offsets[li[js]]
+        cnt = left.offsets[li[js] + 1] - lo
+        # the rows of left's terms, those of left[li[j]] for each of the js in turn
+        rows = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+        head = (np.repeat(tags[js], cnt) << kbits) | left.keys[rows]
+        s, e = right.offsets[b], right.offsets[b + 1]
+        words = head[:, None] + right.keys[None, s:e]
+        words <<= vbits
+        residues = left.coeffs[rows, None] * right.coeffs[None, s:e]
+        residues %= p
+        words |= residues.view(np.uint64)
+        out.append(words.ravel())
+    return np.concatenate(out)
+
+
+def _collect(words: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, sums): the distinct values of the bits above the residue of
+    words (tag and key), ascending, and the sum mod p of the residues of the
+    words with each, where that sum is nonzero. Sorts and overwrites words.
+
+    This sort and reduce is the one summation of packed terms. A sum adds
+    at most len(words) residues: in int64 for uint64 words, where
+    (p - 1)**2 < 2**63 keeps 2**31 of them in range, and in Python ints
+    for object words.
+    """
+    s, p = layout.scalar, layout.p
+    if layout.fits and len(words) * (p - 1) >= 2**63:
+        raise OverflowError(f"{len(words)} residues mod {p} could overflow int64")
+    if not len(words):
+        return words, np.zeros(0, dtype=layout.cdtype)
+    words.sort()
+    heads = words >> s(layout.vbits)
+    starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+    words &= s((1 << layout.vbits) - 1)
+    sums = np.add.reduceat(words.view(layout.cdtype), starts) % p
+    nonzero = sums != 0
+    return heads[starts[nonzero]], sums[nonzero]
+
+
+def _products(left: _Packed, right: _Packed, li: np.ndarray, ri: np.ndarray, layout: _Layout) -> _Packed:
+    """The products left[li[j]] * right[ri[j]], packed in order of j.
+
+    When the words fit in 64 bits, the products are made as words tagged
+    by j, at most _SORT_WORDS words per sort (one product may take more),
+    with as many products per sort as the bits above the key leave tags
+    for, from _NUMPY_MUL_THRESHOLD term pairs per such sort on. Otherwise
+    every term pair is added into a dict per product, keyed by Python ints.
+    """
+    p = layout.p
+    pairs = (left.offsets[1:] - left.offsets[:-1])[li] * (right.offsets[1:] - right.offsets[:-1])[ri]
+    total = int(pairs.sum())
+    most = 1 << max(0, 64 - layout.vbits - layout.kbits)  # products whose tags fit above the key
+    sorts = -(-len(li) // most)
+    if total < _NUMPY_MUL_THRESHOLD * sorts or not layout.fits or total * (p - 1) >= 2**63:
+        return _dict_products(left, right, li, ri, layout)
+    ends = np.cumsum(pairs)
+    kbits = np.uint64(layout.kbits)
+    keys, coeffs, offsets = [], [], [np.zeros(1, dtype=np.intp)]
+    start = 0
+    while start < len(li):
+        stop = int(np.searchsorted(ends, ends[start] - pairs[start] + _SORT_WORDS, side="right"))
+        stop = min(max(stop, start + 1), start + most)
+        tags = np.arange(stop - start, dtype=np.uint64)
+        heads, sums = _collect(_outer_words(left, right, li[start:stop], ri[start:stop], tags, layout), layout)
+        keys.append(heads & np.uint64((1 << layout.kbits) - 1))
+        coeffs.append(sums)
+        offsets.append(offsets[-1][-1] + np.searchsorted(heads >> kbits, tags + np.uint64(1)))
+        start = stop
+    return _Packed(np.concatenate(keys), np.concatenate(coeffs), np.concatenate(offsets))
+
+
+def _dict_products(left: _Packed, right: _Packed, li: np.ndarray, ri: np.ndarray, layout: _Layout) -> _Packed:
+    p = layout.p
+    KA, CA, OA = left.keys.tolist(), left.coeffs.tolist(), left.offsets.tolist()
+    KB, CB, OB = right.keys.tolist(), right.coeffs.tolist(), right.offsets.tolist()
+    keys, coeffs, offsets = [], [], [0]
+    for a, b in zip(li.tolist(), ri.tolist()):
+        acc: dict[int, int] = {}
+        b_terms = list(zip(KB[OB[b]:OB[b + 1]], CB[OB[b]:OB[b + 1]]))
+        for ka, ca in zip(KA[OA[a]:OA[a + 1]], CA[OA[a]:OA[a + 1]]):
+            for kb, cb in b_terms:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + ca * cb
+        for k, c in acc.items():
+            if c % p:
+                keys.append(k)
+                coeffs.append(c % p)
+        offsets.append(len(keys))
+    return _Packed(np.array(keys, dtype=layout.dtype), np.array(coeffs, dtype=layout.cdtype),
+                   np.array(offsets, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -423,30 +579,64 @@ class PolyMap:
 
 def _grlex_parent(e: tuple) -> tuple[int, tuple]:
     """(i, parent): the first nonzero variable of e and e with it lowered by one."""
-    i = next(i for i, ei in enumerate(e) if ei)
+    # the first nonzero value occurs first at the first nonzero position
+    i = e.index(next(filter(None, e)))
     return i, e[:i] + (e[i] - 1,) + e[i + 1 :]
 
 
-def monomial_images(monomials: Sequence[tuple], one, coords: Sequence, mul) -> Iterator:
-    """Yield the images of grlex-ordered ``monomials`` under the map with
-    coordinates ``coords``: the constant's is ``one``, every other's is
-    mul(parent's image, coordinate of the variable _grlex_parent lowers).
-    Only images below the top degree are kept here, for their children."""
+def monomial_images(monomials: Sequence[tuple], one, products) -> Iterator:
+    """Yield the images of the grlex-ordered ``monomials`` under a map, one
+    degree at a time: first ``one``, the constant's, then for each degree
+    products(images, parents, variables), whose j-th image is the
+    parents[j]-th of the previous degree's ``images`` times the coordinate
+    of variables[j]. That is the monomial's image as its _grlex_parent's
+    image times the coordinate of the variable it lowers, so every parent
+    must be among ``monomials``.
+    """
     if any(monomials[0]):
         raise ValueError("monomials must start at the constant monomial")
-    top = sum(monomials[-1])
-    kept = {monomials[0]: one}
-    yield one
-    for e in monomials[1:]:
-        i, parent = _grlex_parent(e)
-        image = mul(kept[parent], coords[i])
-        if sum(e) < top:
-            kept[e] = image
-        yield image
+    index = {monomials[0]: 0}
+    images = one
+    yield images
+    start = 1
+    while start < len(monomials):
+        degree = sum(monomials[start])
+        stop = start
+        while stop < len(monomials) and sum(monomials[stop]) == degree:
+            stop += 1
+        parents, variables = [], []
+        for e in monomials[start:stop]:
+            i, parent = _grlex_parent(e)
+            parents.append(index[parent])
+            variables.append(i)
+        images = products(images, np.array(parents, dtype=np.intp), np.array(variables, dtype=np.intp))
+        yield images
+        index = {e: j for j, e in enumerate(monomials[start:stop])}
+        start = stop
+
+
+def packed_images(monomials: Sequence[tuple], pmap: PolyMap) -> tuple[_Layout, _Packed]:
+    """(layout, images): the images of the grlex-ordered ``monomials`` under
+    pmap, packed in their order, from monomial_images with one batch of
+    _products per degree. The keys are wide enough for every image up to
+    the degree of the last monomial."""
+    E, offsets = _exponents(pmap.coordinates, pmap.in_arity)
+    layout = _Layout(pmap.field.p, sum(monomials[-1]) * E.max(axis=0, initial=0))
+    coords = _pack(pmap.coordinates, E, offsets, layout)
+    one = _Packed(np.zeros(1, dtype=layout.dtype), np.ones(1, dtype=layout.cdtype), np.arange(2))
+    levels = list(monomial_images(monomials, one, lambda images, parents, variables:
+                                  _products(images, coords, parents, variables, layout)))
+    starts = np.cumsum([0] + [len(level.keys) for level in levels[:-1]])
+    offsets = [np.zeros(1, dtype=np.intp)] + [level.offsets[1:] + s for level, s in zip(levels, starts)]
+    images = _Packed(np.concatenate([level.keys for level in levels]),
+                     np.concatenate([level.coeffs for level in levels]), np.concatenate(offsets))
+    return layout, images
 
 
 def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
-    """Exact symbolic composition q(P_1, ..., P_N)."""
+    """Exact symbolic composition q(P_1, ..., P_N): the images of q's
+    monomials and of their grlex ancestors from packed_images, times q's
+    coefficients, summed by one _collect."""
     if q.nvars != pmap.out_arity:
         raise ValueError(f"arity mismatch: q has {q.nvars} variables, map has {pmap.out_arity} outputs")
     field = pmap.field
@@ -459,18 +649,19 @@ def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
             closure.add(e)
             e = _grlex_parent(e)[1]
     monomials = sorted(closure, key=grlex_key)
-    images = monomial_images(monomials, MultiPoly.constant(field, m, 1), pmap.coordinates, mul)
-    terms = (q.terms[e] * image for e, image in zip(monomials, images) if e in q.terms)
-    result = sum(terms, MultiPoly.zero(field, m))
+    layout, images = packed_images(monomials, pmap)
+    weights = np.array([q.terms.get(e, 0) for e in monomials], dtype=layout.cdtype)
+    weights = np.repeat(weights, images.offsets[1:] - images.offsets[:-1])
+    used = weights != 0
+    coeffs = images.coeffs[used] * weights[used] % field.p
+    words = (images.keys[used] << layout.scalar(layout.vbits)) | coeffs.astype(layout.dtype)
+    result = layout.unpack(*_collect(words, layout), field, m)
 
-    dq, dp = q.degree(), pmap.degree()
-    if dq is NEG_INF:
-        bound = NEG_INF
-    elif dp is NEG_INF:
-        bound = 0  # zero map: only the constant part of q survives
-    else:
-        bound = dq * dp
-    assert result.degree() <= bound
+    if result.terms:
+        dp = pmap.degree()
+        bound = 0 if dp is NEG_INF else q.degree() * dp  # zero map: only the constant part of q survives
+        if result.degree() > bound:
+            raise AssertionError(f"q o P has degree {result.degree()} > deg(q) * deg(P) = {bound}")
     return result
 
 
@@ -491,7 +682,8 @@ def monomial_basis(nvars: int, max_degree: int) -> list[tuple]:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     basis = sorted(_exponents_upto(nvars, max_degree), key=grlex_key)
-    assert len(basis) == math.comb(nvars + max_degree, nvars)
+    if len(basis) != math.comb(nvars + max_degree, nvars):
+        raise AssertionError(f"{len(basis)} monomials of degree <= {max_degree} in {nvars} variables")
     return basis
 
 

@@ -37,7 +37,8 @@ import rigideq.annihilator as annihilator
 from rigideq import cli
 from rigideq.annihilator import VerificationError, vector_to_poly
 
-from test_poly import reference_compose
+import rigideq.poly as poly
+from test_poly import _level_spy, _wide_map, reference_compose
 
 
 def reference_kernel(A, p):
@@ -267,6 +268,39 @@ def test_symbolic_matches_column_builder(name, f101):
         assert basis == ref_basis and A.shape == B.shape and A.dtype == B.dtype
         # the same rows, possibly in another order
         assert sorted(map(tuple, A.tolist())) == sorted(map(tuple, B.tolist())), (name, D)
+
+
+def _same_matrix(pmap, D):
+    A, basis = composition_matrix_symbolic(pmap, D)
+    B, ref_basis = reference_symbolic(pmap, D)
+    assert basis == ref_basis and A.shape == B.shape and A.dtype == B.dtype
+    assert sorted(map(tuple, A.tolist())) == sorted(map(tuple, B.tolist())), (pmap.label, D)
+
+
+def test_symbolic_level_batches_split_between_sorts(f101, monkeypatch):
+    # 64 words per sort: one degree of products spreads over many sorts
+    monkeypatch.setattr(poly, "_SORT_WORDS", 64)
+    calls = _level_spy(monkeypatch)
+    _same_matrix(sv_map(SVParams(f101, 12, 2)), 2)
+    _same_matrix(rank_map(f101, 3, 2), 2)
+    assert calls["sorts"] > 50
+
+
+def test_symbolic_wide_keys_take_the_dict_branch(f101, monkeypatch):
+    # 20 variables of exponent up to 3 * 2: 60 key bits and a 7-bit residue
+    calls = _level_spy(monkeypatch)
+    pmap = _wide_map(random.Random("ann:wide"), f101, 20, 3)
+    assert not poly.packed_images(monomial_basis(3, 2), pmap)[0].fits
+    _same_matrix(pmap, 2)
+    assert calls["sorts"] == 0 and calls["dict"] > 0
+
+
+def test_symbolic_largest_prime(monkeypatch):
+    F = PrimeField(2**31 - 1)
+    calls = _level_spy(monkeypatch)
+    for pmap in (sv_map(SVParams(F, 12, 2)), rank_map(F, 3, 2), tensor_map(TensorParams(F, 2, 3, 1))):
+        _same_matrix(pmap, 2)
+    assert calls["sorts"] > 0
 
 
 def test_sampled_deterministic(f101):

@@ -113,12 +113,14 @@ def test_certify_rigid_never_certifies_witnesses():
     pmap = rigidity_map(params)
     cert = find_annihilator(pmap, SolverConfig(d_min=1, d_max=2))
     rng = random.Random("cert:witness")
+    betas = []
     for _ in range(10_000):
         u0 = [[rng.randrange(F.p)] for _ in range(2)]
         v0 = [[rng.randrange(F.p) for _ in range(2)]]
-        beta = rigidity_witness(params, u0, v0, {})
-        m = DenseMatrix(F, 2, 2, tuple(pmap.evaluate(beta)))
-        assert certify_rigid(m, cert) is None
+        betas.append(rigidity_witness(params, u0, v0, {}))
+    # the map at every witness in one batched evaluation
+    for entries in pmap.evaluate_many(betas).tolist():
+        assert certify_rigid(DenseMatrix(F, 2, 2, tuple(entries)), cert) is None
 
 
 def test_certify_rigid_input_validation(rigidity210_cert, f101):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -88,6 +89,23 @@ def test_solve_deterministic_bytes(tmp_path):
             == 0
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+# Whole symbolic certificates at p = 101, bytes and all (verification rows
+# and kernel_dim included), as emitted before the level-batched build.
+CERTIFICATE_SHA256 = {
+    "sv(12,2)": "9ab93722b2b94588cdea21da1abc0ca555a96fdbe2a15d61d41f3044032b865c",
+    "rigidity(4,2,0)": "95ca40f4658b8dd0994b29f551b7d8ef93bf27ce6b9adbeb17587d25b0afe236",
+    "rank(3,2)": "fce7568bb0cebe0d4e2f79093b3fcf439959706c16431ec78805008e59cb9ce1",
+    "tensor(2,3,1)": "9c06ef2f7483ef2d8c36cb87aafcde4faab87a5c46f61b09054231718c8cdb82",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CERTIFICATE_SHA256))
+def test_symbolic_certificate_bytes_pinned(tmp_path, spec):
+    path = tmp_path / "cert.json"
+    assert run("solve", "--map", spec, "-p", "101", "--dmax", "3", "--out", str(path)) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_SHA256[spec]
 
 
 # ---------------------------------------------------------------- certify / verify

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import operator
+import pickle
 import random
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from rigideq import MultiPoly, PolyMap, PrimeField, universal_graph, universal_map
 from rigideq import determinant_poly, lagrange_basis, monomial_basis, poly_compose
-from rigideq.poly import NEG_INF, grlex_key, monomial_images, packed_weighted_sum
+import rigideq.poly as poly
+from rigideq.poly import _NUMPY_MUL_THRESHOLD, NEG_INF, grlex_key, monomial_images, packed_weighted_sum
 
 from conftest import random_map, random_poly
 
@@ -100,6 +102,17 @@ def test_immutability(f101):
         q.nvars = 3
 
 
+def test_pickle_round_trip(f101):
+    rng = random.Random("poly:pickle")
+    for q in (MultiPoly.zero(f101, 3), random_poly(rng, f101, 3, 4, max_terms=8)):
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and back.field == q.field and back.nvars == q.nvars
+        with pytest.raises(AttributeError, match="immutable"):
+            back.terms = {}
+    # loading goes through MultiPoly(...), which validates the terms again
+    assert q.__reduce__() == (MultiPoly, (q.field, q.nvars, q.terms))
+
+
 def _schoolbook(pairs, field):
     """Reference sum of products: every term pair added into one dict."""
     out = {}
@@ -121,7 +134,7 @@ def _dense_poly(rng, field, nvars, terms, max_exp, coeff=None):
 
 def test_packed_product_matches_schoolbook(f101):
     rng = random.Random("poly:packed")
-    # dense enough to cross the numpy fast-path threshold
+    # dense enough to cross the numpy fast-path threshold many times over
     a = MultiPoly(
         f101, 3,
         {(i, j, k): rng.randrange(1, 101) for i in range(7) for j in range(7) for k in range(6)},
@@ -130,20 +143,25 @@ def test_packed_product_matches_schoolbook(f101):
         f101, 3,
         {(i, j, k): rng.randrange(1, 101) for i in range(6) for j in range(7) for k in range(7)},
     )
-    assert len(a) * len(b) > 50_000
+    assert len(a) * len(b) >= 100 * _NUMPY_MUL_THRESHOLD
     assert (a * b).terms == _schoolbook([(a, b)], f101)
+    # and just below the threshold
+    n = math.isqrt(_NUMPY_MUL_THRESHOLD - 1)
+    c, d = (MultiPoly(f101, 3, dict(list(x.terms.items())[:n])) for x in (a, b))
+    assert len(c) * len(d) < _NUMPY_MUL_THRESHOLD
+    assert (c * d).terms == _schoolbook([(c, d)], f101)
 
 
 def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     # only the packed branch sorts its words
     sort_calls = []
-    real_sort = np.sort
+    real_collect = poly._collect
 
-    def spy(*args, **kwargs):
-        sort_calls.append(len(args[0]))
-        return real_sort(*args, **kwargs)
+    def spy(words, layout):
+        sort_calls.append(len(words))
+        return real_collect(words, layout)
 
-    monkeypatch.setattr(np, "sort", spy)
+    monkeypatch.setattr(poly, "_collect", spy)
 
     def check(pairs, field, nvars, packed):
         sort_calls.clear()
@@ -156,24 +174,30 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
         assert all(type(e) is tuple and len(e) == nvars and all(type(x) is int for x in e) for e in got.terms)
         assert got == MultiPoly(field, nvars, _schoolbook(pairs, field))
 
+    T = _NUMPY_MUL_THRESHOLD
     rng = random.Random("poly:wsum")
+    # at most four pairs of at most `most` terms each stay below the threshold
+    most = math.isqrt((T - 1) // 4)
     for trial in range(10):
         pairs = [
-            (random_poly(rng, f101, 3, 4, max_terms=8), random_poly(rng, f101, 3, 4, max_terms=8))
+            (random_poly(rng, f101, 3, 4, max_terms=most), random_poly(rng, f101, 3, 4, max_terms=most))
             for _ in range(rng.randrange(0, 5))
         ]
         check(pairs, f101, 3, packed=False)
     check([], f101, 3, packed=False)
     assert packed_weighted_sum([], f101, 3) == MultiPoly.zero(f101, 3)
 
-    # three pairs of 16900 term pairs each: every pair is below the
+    # three pairs of n*n term pairs each: every pair is below the
     # threshold, their sum is above it
-    pairs = [(_dense_poly(rng, f101, 4, 130, 6), _dense_poly(rng, f101, 4, 130, 6)) for _ in range(3)]
+    n = math.isqrt(T - 1)
+    assert n * n < T <= 3 * n * n
+    pairs = [(_dense_poly(rng, f101, 4, n, 6), _dense_poly(rng, f101, 4, n, 6)) for _ in range(3)]
     check(pairs, f101, 4, packed=True)
 
     # a sum that cancels to zero, on both sides of the threshold
     a, b = pairs[0]
-    for x, packed in ((a, True), (MultiPoly(f101, 4, dict(list(a.terms.items())[:5])), False)):
+    few = max(1, (T - 1) // (4 * len(b)))
+    for x, packed in ((a, True), (MultiPoly(f101, 4, dict(list(a.terms.items())[:few])), False)):
         sort_calls.clear()
         assert packed_weighted_sum([(x, b), (x, -b), (-x, b), (x, b)], f101, 4).is_zero()
         assert bool(sort_calls) == packed
@@ -252,19 +276,92 @@ def test_compose_matches_reference(f101):
 
 
 def test_monomial_images_one_product_each():
-    products = []
+    batches = []
+    coords = np.array([2, 3])
 
-    def mul(a, b):
-        products.append((a, b))
-        return a * b
+    def products(images, parents, variables):
+        batches.append(len(parents))
+        return images[parents] * coords[variables]
 
     basis = monomial_basis(2, 3)
-    images = list(monomial_images(basis, 1, (2, 3), mul))
-    assert images == [2**e1 * 3**e2 for e1, e2 in basis]
-    assert len(products) == len(basis) - 1
+    images = np.concatenate(list(monomial_images(basis, np.array([1]), products)))
+    assert images.tolist() == [2**e1 * 3**e2 for e1, e2 in basis]
+    # one batch per degree, one product per monomial but the constant
+    assert batches == [2, 3, 4] and sum(batches) == len(basis) - 1
     with pytest.raises(ValueError, match="constant"):
-        list(monomial_images(basis[1:], 1, (2, 3), mul))
+        list(monomial_images(basis[1:], np.array([1]), products))
 
+
+def _level_spy(monkeypatch):
+    """Count the sorted (numpy) and dict batches of poly._products."""
+    calls = {"sorts": 0, "dict": 0}
+    outer, dict_products = poly._outer_words, poly._dict_products
+
+    def spy_outer(*args):
+        calls["sorts"] += 1
+        return outer(*args)
+
+    def spy_dict(*args):
+        calls["dict"] += 1
+        return dict_products(*args)
+
+    monkeypatch.setattr(poly, "_outer_words", spy_outer)
+    monkeypatch.setattr(poly, "_dict_products", spy_dict)
+    return calls
+
+
+def _wide_map(rng, field, n_in, n_out):
+    """A map whose first coordinate has every input variable cubed."""
+    cubes = MultiPoly(field, n_in, {tuple(3 * (j == i) for j in range(n_in)): rng.randrange(1, field.p) for i in range(n_in)})
+    return PolyMap(field, n_in, (cubes,) + random_map(rng, field, n_in, n_out - 1, 3, max_terms=6).coordinates)
+
+
+def _compose_cases(rng, field, n_in, n_out, count):
+    """(q, P) with q of degree 4 (x1**4 among its terms) and P a _wide_map."""
+    cases = []
+    for _ in range(count):
+        q = random_poly(rng, field, n_out, 3, max_terms=8) + MultiPoly(field, n_out, {(4,) + (0,) * (n_out - 1): 1})
+        cases.append((q, _wide_map(rng, field, n_in, n_out)))
+    return cases
+
+
+def test_compose_level_batches_split_between_sorts(f101, monkeypatch):
+    # a word cap far below one degree's products: every sort holds a few
+    # products, and the largest products take a sort of their own
+    monkeypatch.setattr(poly, "_SORT_WORDS", 40)
+    monkeypatch.setattr(poly, "_NUMPY_MUL_THRESHOLD", 1)
+    calls = _level_spy(monkeypatch)
+    rng = random.Random("poly:compose-split")
+    for q, pmap in _compose_cases(rng, f101, 3, 4, 20):
+        assert poly_compose(q, pmap) == reference_compose(q, pmap)
+    assert calls["sorts"] > 100 and calls["dict"] == 0
+
+
+def test_compose_wide_keys_take_the_dict_branch(f101, monkeypatch):
+    # 20 variables of exponent up to 3 * 4: 80 key bits, beside a residue
+    # no word fits in 64 bits, so even large batches add into dicts
+    calls = _level_spy(monkeypatch)
+    rng = random.Random("poly:compose-wide")
+    for q, pmap in _compose_cases(rng, f101, 20, 3, 3):
+        layout, images = poly.packed_images(monomial_basis(3, 4), pmap)
+        assert layout.kbits == 80 and not layout.fits and images.keys.dtype == object
+        assert poly_compose(q, pmap) == reference_compose(q, pmap)
+    assert calls["sorts"] == 0 and calls["dict"] > 0
+
+
+def test_compose_largest_prime(monkeypatch):
+    # p = 2**31 - 1: residues take 31 bits of a word; with 8 variables of
+    # 4 key bits each one tag bit is left, so every sort holds at most two
+    # products
+    F = PrimeField(2**31 - 1)
+    monkeypatch.setattr(poly, "_NUMPY_MUL_THRESHOLD", 1)
+    calls = _level_spy(monkeypatch)
+    rng = random.Random("poly:compose-bigp")
+    for q, pmap in _compose_cases(rng, F, 8, 4, 8):
+        layout, _ = poly.packed_images(monomial_basis(4, 4), pmap)
+        assert layout.fits and 64 - layout.vbits - layout.kbits == 1
+        assert poly_compose(q, pmap) == reference_compose(q, pmap)
+    assert calls["sorts"] > 0 and calls["dict"] == 0
 
 
 def _rank1_map_2x2(field):
