@@ -99,6 +99,8 @@ class AnnihilatorCertificate:
     def from_json_dict(cls, doc: dict) -> "AnnihilatorCertificate":
         pmap = PolyMap.from_json_dict(doc["map"])
         q = MultiPoly.from_json_dict(doc["Q"])
+        if type(doc["p"]) is not int or type(doc["D"]) is not int:
+            raise TypeError(f"certificate p and D must be ints: p={doc['p']!r}, D={doc['D']!r}")
         if doc["p"] != pmap.field.p or doc["label"] != pmap.label:
             raise ValueError("certificate p or label contradicts its map")
         if q.field != pmap.field or q.nvars != pmap.out_arity:

@@ -7,6 +7,7 @@ searched degree range, 3 resource refusal, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,7 +155,10 @@ def cmd_oracle(args) -> int:
     return EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parse_args keeps
+    no state between calls, and building it costs more than a small certify."""
     parser = argparse.ArgumentParser(prog="rigideq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -12,8 +13,13 @@ class NonInvertibleError(ZeroDivisionError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all word-sized integers."""
+    """Deterministic Miller-Rabin, valid for all word-sized integers.
+
+    Cached per (type, value): every polynomial of a certificate names its
+    modulus, and each builds a PrimeField.
+    """
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -39,11 +45,16 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for a word-sized prime p. All values live in [0, p)."""
+    """The field F_p for a word-sized prime p. All values live in [0, p).
+
+    p must be an int (bool and float are refused, so that 101.0 never stands
+    in for 101)."""
 
     p: int
 
     def __post_init__(self):
+        if type(self.p) is not int:
+            raise TypeError(f"modulus must be an int, got {self.p!r}")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

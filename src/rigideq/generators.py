@@ -111,14 +111,6 @@ class RigidityParams:
     def in_arity(self) -> int:
         return 2 * self.n * self.r + 2 * self.k
 
-    @property
-    def epsilon_rank(self) -> float:
-        return self.r / self.n
-
-    @property
-    def epsilon_sparse(self) -> float:
-        return self.k / (self.n * self.n)
-
 
 def rigidity_map(params: RigidityParams) -> PolyMap:
     """UV(u, v) + SV_{n^2,k}(x, y): the universal map for non-rigid matrices.
@@ -128,14 +120,13 @@ def rigidity_map(params: RigidityParams) -> PolyMap:
     F, n, r, k = params.field, params.n, params.r, params.k
     nvars = params.in_arity
     uv = rank_map(F, n, r)
-    coords = []
     if k == 0:
-        coords = [_pad_vars(q, nvars, 0) for q in uv.coordinates]
+        # rank_map's variables are exactly the first 2nr
+        coords = uv.coordinates
     else:
         sv = sv_map(SVParams(F, n * n, k))
-        for q_uv, q_sv in zip(uv.coordinates, sv.coordinates):
-            q = _pad_vars(q_uv, nvars, 0) + _pad_vars(q_sv, nvars, 2 * n * r)
-            coords.append(q)
+        coords = [_pad_vars(q_uv, nvars, 0) + _pad_vars(q_sv, nvars, 2 * n * r)
+                  for q_uv, q_sv in zip(uv.coordinates, sv.coordinates)]
     pmap = PolyMap(F, nvars, tuple(coords), label=f"rigidity({n},{r},{k})")
     if pmap.degree() > max(2, n * n):
         raise AssertionError(f"rigidity map has degree {pmap.degree()} > {max(2, n * n)}")

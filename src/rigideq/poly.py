@@ -16,14 +16,18 @@ pairs per sort, or when a word would need more than 64 bits, term pairs are
 added into dicts instead.
 
 Every image of a monomial under a map comes from monomial_images, one degree
-at a time: packed_images runs it with one batch of _products per degree and
-keeps the images packed, for poly_compose and the symbolic matrix, and the
-sampled matrix runs it on value vectors. Every evaluation of a map at points
-goes through PolyMap.evaluate_many, in numpy; MultiPoly.evaluate is the
-scalar evaluator of one polynomial.
+at a time: _image_levels runs it with one batch of _products per degree, and
+the sampled matrix runs it on value vectors. A degree made in dicts keeps
+its images as {key: coefficient} dicts, so a small composition builds no
+numpy array; packed_images packs every degree in numpy arrays for the
+symbolic matrix, and poly_compose sums q's weighted images in one dict or by
+one more sort. Every evaluation of a map at points goes through
+PolyMap.evaluate_many, in numpy; MultiPoly.evaluate is the scalar evaluator
+of one polynomial.
 
-MultiPoly(...) validates its terms (exponent length and sign, coefficients
-reduced mod p, zeros dropped), since certificates come in through it.
+MultiPoly(...) validates its terms (nvars, exponents and coefficients are
+ints, exponent length and sign, coefficients reduced mod p, zeros dropped),
+since certificates come in through it.
 Arithmetic here builds terms that are clean by construction and returns them
 through MultiPoly._trusted, which checks nothing.
 """
@@ -31,9 +35,10 @@ through MultiPoly._trusted, which checks nothing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import add, neg
+from operator import add, lshift, neg
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -50,11 +55,20 @@ _NUMPY_MUL_THRESHOLD = 256
 _SORT_WORDS = 1 << 17
 # Term values computed at once per coordinate by PolyMap.evaluate_many.
 _EVAL_CELLS = 1 << 20
+# The one type MultiPoly(...) takes for nvars, exponents and coefficients.
+_INT = frozenset([int])
 
 
 def grlex_key(exponents: Sequence[int]):
     """Sort key realizing graded lex order (x1 > x2 > ...)."""
     return (sum(exponents), tuple(map(neg, exponents)))
+
+
+def grlex_sorted(exps) -> list[tuple]:
+    """Distinct exponent tuples in graded lex order: sorted(exps, key=grlex_key)
+    as two sorts that call no Python code, lex descending, then stably by
+    total degree."""
+    return sorted(sorted(exps, reverse=True), key=sum)
 
 
 class MultiPoly:
@@ -63,17 +77,22 @@ class MultiPoly:
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: PrimeField, nvars: int, terms: Mapping[tuple, int] | None = None):
+        # bool is not int here: a certificate's numbers must be JSON integers
+        if type(nvars) is not int:
+            raise TypeError(f"nvars must be an int, got {nvars!r}")
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
+        p = field.p
         clean: dict[tuple, int] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has length != nvars={nvars}")
-            if any(e < 0 for e in exps):
+            if type(coeff) is not int or not _INT.issuperset(map(type, exps)):
+                raise TypeError(f"exponents and coefficient must be ints: {exps}: {coeff!r}")
+            if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            c = coeff % field.p
-            if c:
+            if c := coeff % p:
                 clean[exps] = c
         self._assign(field, nvars, clean)
 
@@ -129,7 +148,7 @@ class MultiPoly:
         return max(map(sum, self.terms))
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]
+        return [(e, self.terms[e]) for e in grlex_sorted(self.terms)]
 
     def __eq__(self, other):
         return (
@@ -303,7 +322,7 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
         EB, OB = _exponents(right, nvars)
         # the largest exponent of each variable in any product
         bound = (np.maximum.reduceat(EA, OA[:-1]) + np.maximum.reduceat(EB, OB[:-1])).max(axis=0, initial=0)
-        layout = _Layout(p, bound)
+        layout = _Layout(p, bound.tolist())
         if layout.fits:
             index = np.arange(len(pairs))
             words = _outer_words(_pack(left, EA, OA, layout), _pack(right, EB, OB, layout),
@@ -342,10 +361,10 @@ class _Layout:
     sums and _collect take them.
     """
 
-    def __init__(self, p: int, bound):
+    def __init__(self, p: int, bound: Sequence[int]):
         self.p = p
         self.vbits = (p - 1).bit_length()
-        self.bits = [max(1, x.bit_length()) for x in np.asarray(bound).tolist()]
+        self.bits = [max(1, x.bit_length()) for x in bound]
         self.shifts = list(accumulate(self.bits, initial=0))[:-1]
         self.kbits = sum(self.bits)
         self.fits = self.vbits + self.kbits <= 64 and (p - 1) ** 2 < 2**63
@@ -358,10 +377,16 @@ class _Layout:
         shifts = np.array(self.shifts, dtype=self.dtype)
         return (E.astype(self.dtype) << shifts).sum(axis=1, dtype=self.dtype)
 
-    def unpack(self, keys: np.ndarray, coeffs: np.ndarray, field: PrimeField, nvars: int) -> "MultiPoly":
-        """The polynomial with these distinct keys and nonzero coefficients."""
+    def key(self, exps: tuple) -> int:
+        """The packed key of one exponent vector, as a Python int."""
+        return sum(map(lshift, exps, self.shifts))
+
+    def unpack(self, keys, coeffs, field: PrimeField, nvars: int) -> "MultiPoly":
+        """The polynomial with these distinct keys and nonzero coefficients
+        (numpy arrays or lists)."""
         if not len(keys):
             return MultiPoly._trusted(field, nvars, {})
+        keys, coeffs = np.asarray(keys, dtype=self.dtype), np.asarray(coeffs, dtype=self.cdtype)
         s = self.scalar
         # one column of Python ints per variable; zip(*cols) gives the exponent tuples
         cols = [((keys >> s(k)) & s((1 << w) - 1)).tolist() for k, w in zip(self.shifts, self.bits)]
@@ -431,22 +456,38 @@ def _collect(words: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray
     return heads[starts[nonzero]], sums[nonzero]
 
 
-def _products(left: _Packed, right: _Packed, li: np.ndarray, ri: np.ndarray, layout: _Layout) -> _Packed:
-    """The products left[li[j]] * right[ri[j]], packed in order of j.
+def _arrays(polys: list[dict], layout: _Layout) -> _Packed:
+    """Polynomials given as {key: coefficient} dicts, packed in numpy arrays."""
+    return _Packed(np.array(list(chain.from_iterable(polys)), dtype=layout.dtype),
+                   np.array(list(chain.from_iterable(map(dict.values, polys))), dtype=layout.cdtype),
+                   np.array(list(accumulate(map(len, polys), initial=0)), dtype=np.intp))
+
+
+def _products(left, right: list[dict], li: Sequence[int], ri: Sequence[int], layout: _Layout):
+    """The products left[li[j]] * right[ri[j]], in order of j. right is a
+    list of {key: coefficient} dicts, left one too or a _Packed.
 
     When the words fit in 64 bits, the products are made as words tagged
     by j, at most _SORT_WORDS words per sort (one product may take more),
     with as many products per sort as the bits above the key leave tags
-    for, from _NUMPY_MUL_THRESHOLD term pairs per such sort on. Otherwise
-    every term pair is added into a dict per product, keyed by Python ints.
+    for, from _NUMPY_MUL_THRESHOLD term pairs per such sort on; they come
+    back as a _Packed. Otherwise every term pair is added into a dict per
+    product, keyed by Python ints (_dict_products), and they come back as
+    a list of such dicts, so that small products never pay numpy's set-up.
     """
     p = layout.p
-    pairs = (left.offsets[1:] - left.offsets[:-1])[li] * (right.offsets[1:] - right.offsets[:-1])[ri]
-    total = int(pairs.sum())
+    sizes = list(map(len, left)) if isinstance(left, list) else np.diff(left.offsets).tolist()
+    right_sizes = list(map(len, right))
+    pairs = [sizes[a] * right_sizes[b] for a, b in zip(li, ri)]
+    total = sum(pairs)
     most = 1 << max(0, 64 - layout.vbits - layout.kbits)  # products whose tags fit above the key
     sorts = -(-len(li) // most)
     if total < _NUMPY_MUL_THRESHOLD * sorts or not layout.fits or total * (p - 1) >= 2**63:
-        return _dict_products(left, right, li, ri, layout)
+        return _dict_products(left, right, li, ri, p)
+    if isinstance(left, list):
+        left = _arrays(left, layout)
+    right = _arrays(right, layout)
+    li, ri = np.array(li, dtype=np.intp), np.array(ri, dtype=np.intp)
     ends = np.cumsum(pairs)
     kbits = np.uint64(layout.kbits)
     keys, coeffs, offsets = [], [], [np.zeros(1, dtype=np.intp)]
@@ -463,25 +504,21 @@ def _products(left: _Packed, right: _Packed, li: np.ndarray, ri: np.ndarray, lay
     return _Packed(np.concatenate(keys), np.concatenate(coeffs), np.concatenate(offsets))
 
 
-def _dict_products(left: _Packed, right: _Packed, li: np.ndarray, ri: np.ndarray, layout: _Layout) -> _Packed:
-    p = layout.p
-    KA, CA, OA = left.keys.tolist(), left.coeffs.tolist(), left.offsets.tolist()
-    KB, CB, OB = right.keys.tolist(), right.coeffs.tolist(), right.offsets.tolist()
-    keys, coeffs, offsets = [], [], [0]
-    for a, b in zip(li.tolist(), ri.tolist()):
+def _dict_products(left, right: list[dict], li: Sequence[int], ri: Sequence[int], p: int) -> list[dict]:
+    if not isinstance(left, list):
+        K, C, O = (x.tolist() for x in left)
+        left = [dict(zip(K[s:e], C[s:e])) for s, e in zip(O, O[1:])]
+    right_terms = {b: list(right[b].items()) for b in set(ri)}
+    out = []
+    for a, b in zip(li, ri):
         acc: dict[int, int] = {}
-        b_terms = list(zip(KB[OB[b]:OB[b + 1]], CB[OB[b]:OB[b + 1]]))
-        for ka, ca in zip(KA[OA[a]:OA[a + 1]], CA[OA[a]:OA[a + 1]]):
+        b_terms = right_terms[b]
+        for ka, ca in left[a].items():
             for kb, cb in b_terms:
                 k = ka + kb
                 acc[k] = acc.get(k, 0) + ca * cb
-        for k, c in acc.items():
-            if c % p:
-                keys.append(k)
-                coeffs.append(c % p)
-        offsets.append(len(keys))
-    return _Packed(np.array(keys, dtype=layout.dtype), np.array(coeffs, dtype=layout.cdtype),
-                   np.array(offsets, dtype=np.intp))
+        out.append({k: r for k, c in acc.items() if (r := c % p)})
+    return out
 
 
 @dataclass(frozen=True)
@@ -570,6 +607,8 @@ class PolyMap:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PolyMap":
         field = PrimeField(doc["p"])
+        if type(doc["m"]) is not int or type(doc["N"]) is not int:
+            raise TypeError(f"map arities must be ints: m={doc['m']!r}, N={doc['N']!r}")
         coords = tuple(MultiPoly.from_json_dict(c) for c in doc["coords"])
         pmap = cls(field, doc["m"], coords, doc.get("label", ""))
         if pmap.out_arity != doc["N"]:
@@ -589,54 +628,66 @@ def monomial_images(monomials: Sequence[tuple], one, products) -> Iterator:
     degree at a time: first ``one``, the constant's, then for each degree
     products(images, parents, variables), whose j-th image is the
     parents[j]-th of the previous degree's ``images`` times the coordinate
-    of variables[j]. That is the monomial's image as its _grlex_parent's
-    image times the coordinate of the variable it lowers, so every parent
-    must be among ``monomials``.
+    of variables[j] (both lists of ints). That is the monomial's image as
+    its _grlex_parent's image times the coordinate of the variable it
+    lowers, so every parent must be among ``monomials``.
     """
     if any(monomials[0]):
         raise ValueError("monomials must start at the constant monomial")
+    degrees = list(map(sum, monomials))
     index = {monomials[0]: 0}
     images = one
     yield images
     start = 1
     while start < len(monomials):
-        degree = sum(monomials[start])
-        stop = start
-        while stop < len(monomials) and sum(monomials[stop]) == degree:
-            stop += 1
+        stop = bisect_right(degrees, degrees[start], start)
         parents, variables = [], []
         for e in monomials[start:stop]:
             i, parent = _grlex_parent(e)
             parents.append(index[parent])
             variables.append(i)
-        images = products(images, np.array(parents, dtype=np.intp), np.array(variables, dtype=np.intp))
+        images = products(images, parents, variables)
         yield images
         index = {e: j for j, e in enumerate(monomials[start:stop])}
         start = stop
 
 
+def _image_levels(monomials: Sequence[tuple], pmap: PolyMap) -> tuple[_Layout, list]:
+    """(layout, levels): the images of the grlex-ordered ``monomials`` under
+    pmap, in their order, from monomial_images with one batch of _products
+    per degree: a degree's images are a list of {key: coefficient} dicts
+    while every degree is made in dicts, a _Packed from the first that takes
+    the sort on. The keys are wide enough for every image up to the degree
+    of the last monomial."""
+    exps = [e for q in pmap.coordinates for e in q.terms]
+    top = map(max, zip((0,) * pmap.in_arity, *exps))  # the largest exponent of each variable
+    layout = _Layout(pmap.field.p, [sum(monomials[-1]) * x for x in top])
+    coords = [{layout.key(e): c for e, c in q.terms.items()} for q in pmap.coordinates]
+    levels = list(monomial_images(monomials, [{0: 1}], lambda images, parents, variables:
+                                  _products(images, coords, parents, variables, layout)))
+    return layout, levels
+
+
 def packed_images(monomials: Sequence[tuple], pmap: PolyMap) -> tuple[_Layout, _Packed]:
     """(layout, images): the images of the grlex-ordered ``monomials`` under
-    pmap, packed in their order, from monomial_images with one batch of
-    _products per degree. The keys are wide enough for every image up to
-    the degree of the last monomial."""
-    E, offsets = _exponents(pmap.coordinates, pmap.in_arity)
-    layout = _Layout(pmap.field.p, sum(monomials[-1]) * E.max(axis=0, initial=0))
-    coords = _pack(pmap.coordinates, E, offsets, layout)
-    one = _Packed(np.zeros(1, dtype=layout.dtype), np.ones(1, dtype=layout.cdtype), np.arange(2))
-    levels = list(monomial_images(monomials, one, lambda images, parents, variables:
-                                  _products(images, coords, parents, variables, layout)))
+    pmap (_image_levels), packed in their order in numpy arrays."""
+    layout, levels = _image_levels(monomials, pmap)
+    return layout, _concat(levels, layout)
+
+
+def _concat(levels: list, layout: _Layout) -> _Packed:
+    levels = [_arrays(level, layout) if isinstance(level, list) else level for level in levels]
     starts = np.cumsum([0] + [len(level.keys) for level in levels[:-1]])
     offsets = [np.zeros(1, dtype=np.intp)] + [level.offsets[1:] + s for level, s in zip(levels, starts)]
-    images = _Packed(np.concatenate([level.keys for level in levels]),
-                     np.concatenate([level.coeffs for level in levels]), np.concatenate(offsets))
-    return layout, images
+    return _Packed(np.concatenate([level.keys for level in levels]),
+                   np.concatenate([level.coeffs for level in levels]), np.concatenate(offsets))
 
 
 def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
     """Exact symbolic composition q(P_1, ..., P_N): the images of q's
-    monomials and of their grlex ancestors from packed_images, times q's
-    coefficients, summed by one _collect."""
+    monomials and of their grlex ancestors from _image_levels, times q's
+    coefficients, summed in one dict when every degree was made in dicts,
+    else by one _collect."""
     if q.nvars != pmap.out_arity:
         raise ValueError(f"arity mismatch: q has {q.nvars} variables, map has {pmap.out_arity} outputs")
     field = pmap.field
@@ -648,14 +699,24 @@ def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
         while e not in closure:
             closure.add(e)
             e = _grlex_parent(e)[1]
-    monomials = sorted(closure, key=grlex_key)
-    layout, images = packed_images(monomials, pmap)
-    weights = np.array([q.terms.get(e, 0) for e in monomials], dtype=layout.cdtype)
-    weights = np.repeat(weights, images.offsets[1:] - images.offsets[:-1])
-    used = weights != 0
-    coeffs = images.coeffs[used] * weights[used] % field.p
-    words = (images.keys[used] << layout.scalar(layout.vbits)) | coeffs.astype(layout.dtype)
-    result = layout.unpack(*_collect(words, layout), field, m)
+    monomials = grlex_sorted(closure)
+    layout, levels = _image_levels(monomials, pmap)
+    weights = [q.terms.get(e, 0) for e in monomials]
+    if all(isinstance(level, list) for level in levels):
+        acc: dict[int, int] = {}
+        for image, w in zip(chain.from_iterable(levels), weights):
+            if w:
+                for k, c in image.items():
+                    acc[k] = acc.get(k, 0) + w * c
+        sums = {k: r for k, c in acc.items() if (r := c % field.p)}
+        result = layout.unpack(list(sums), list(sums.values()), field, m)
+    else:
+        images = _concat(levels, layout)
+        weights = np.repeat(np.array(weights, dtype=layout.cdtype), np.diff(images.offsets))
+        used = weights != 0
+        coeffs = images.coeffs[used] * weights[used] % field.p
+        words = (images.keys[used] << layout.scalar(layout.vbits)) | coeffs.astype(layout.dtype)
+        result = layout.unpack(*_collect(words, layout), field, m)
 
     if result.terms:
         dp = pmap.degree()
@@ -681,7 +742,7 @@ def monomial_basis(nvars: int, max_degree: int) -> list[tuple]:
         raise ValueError("nvars must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    basis = sorted(_exponents_upto(nvars, max_degree), key=grlex_key)
+    basis = grlex_sorted(_exponents_upto(nvars, max_degree))
     if len(basis) != math.comb(nvars + max_degree, nvars):
         raise AssertionError(f"{len(basis)} monomials of degree <= {max_degree} in {nvars} variables")
     return basis

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from rigideq import AnnihilatorCertificate, PolyMap, PrimeField, determinant_poly
-from rigideq.cli import main
+from rigideq.cli import build_parser, main
 
 
 def run(*argv):
@@ -135,16 +135,36 @@ def test_certify_flow(tmp_path, rigidity_cert_file, capsys):
     assert "not certified" in capsys.readouterr().err
 
 
+def _float_exponents(doc):
+    for term in doc["Q"]["terms"]:
+        term["e"] = [float(e) for e in term["e"]]
+
+
 def _malformed_certs(tmp_path, cert_file):
     """Certificates with no Q, with a Q.nvars its exponents contradict, with
-    a top-level p its map contradicts, and with a verification record that is
-    not an object."""
+    a top-level p its map contradicts, with a verification record that is
+    not an object, and with numbers that are not JSON integers: a float or
+    bool coefficient, a fractional exponent (whose grlex ancestors never
+    reach the constant), integral floats for exponents, for every p, for
+    nvars and for the map's m and N."""
     paths = []
     for name, forge in (
         ("no-q", lambda d: d.pop("Q")),
         ("q-nvars", lambda d: d["Q"].update(nvars=d["Q"]["nvars"] + 1)),
         ("top-p", lambda d: d.update(p=13)),
         ("verification", lambda d: d.update(verification=[])),
+        ("float-coefficient", lambda d: d["Q"]["terms"][0].update(c=d["Q"]["terms"][0]["c"] + 0.5)),
+        ("bool-coefficient", lambda d: d["Q"]["terms"][0].update(c=True)),
+        ("half-exponent", lambda d: d["Q"]["terms"][-1]["e"].__setitem__(0, 0.5)),
+        ("float-exponents", _float_exponents),
+        ("float-top-p", lambda d: d.update(p=float(d["p"]))),
+        ("float-q-p", lambda d: d["Q"].update(p=float(d["Q"]["p"]))),
+        ("float-map-p", lambda d: d["map"].update(p=float(d["map"]["p"]))),
+        ("float-coord-p", lambda d: d["map"]["coords"][0].update(p=float(d["map"]["coords"][0]["p"]))),
+        ("float-nvars", lambda d: d["Q"].update(nvars=float(d["Q"]["nvars"]))),
+        ("float-m", lambda d: d["map"].update(m=float(d["map"]["m"]))),
+        ("float-n", lambda d: d["map"].update(N=float(d["map"]["N"]))),
+        ("bool-map-exponent", lambda d: d["map"]["coords"][0]["terms"][0]["e"].__setitem__(0, True)),
     ):
         doc = json.loads(cert_file.read_text())
         forge(doc)
@@ -164,6 +184,26 @@ def test_certify_corrupted_cert(tmp_path, rigidity_cert_file, capsys):
     for cert in [bad] + _malformed_certs(tmp_path, rigidity_cert_file):
         assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
         assert "verification" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_float_coefficient(tmp_path, capsys):
+    # Q's coefficient c + 0.5 used to be truncated to c by the Q o P check,
+    # and the float then made Q(M) nonzero on matrices of rank <= r
+    cert = tmp_path / "cert.json"
+    assert run("solve", "--map", "rigidity(3,1,0)", "-p", "101", "--dmax", "2", "--out", str(cert)) == 0
+    doc = json.loads(cert.read_text())
+    doc["Q"]["terms"][0]["c"] += 0.5
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    rank1 = tmp_path / "m.txt"
+    rank1.write_text("101 3 3\n1 2 3\n2 4 6\n3 6 9\n")
+    out = tmp_path / "rigidity.json"
+    capsys.readouterr()
+    assert run("certify", "--in", str(rank1), "--cert", str(forged), "--out", str(out)) == 4
+    assert "unreadable certificate" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("certify", "--in", str(rank1), "--cert", str(cert), "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_certify_refuses_a_relabelled_map(tmp_path, capsys):
@@ -216,6 +256,41 @@ def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
     for cert in [garbage] + _malformed_certs(tmp_path, rigidity_cert_file):
         assert run("verify", "--cert", str(cert)) == 4
         assert "unreadable certificate" in capsys.readouterr().err
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    """The parser is built once; no call's flags or defaults reach the next,
+    so every call repeats its first exit code and output bytes."""
+    assert build_parser() is build_parser()
+    cert = tmp_path / "cert.json"
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("5 2 2\n1 0\n0 1\n")
+    out = tmp_path / "rigidity.json"
+    calls = {
+        "solve": ["solve", "--map", "rigidity(2,1,0)", "-p", "5", "--dmax", "2"],
+        "verify-trials": ["verify", "--cert", str(cert), "--trials", "5"],
+        "verify": ["verify", "--cert", str(cert)],
+        "certify-out": ["certify", "--in", str(matrix), "--cert", str(cert), "--out", str(out)],
+        "certify": ["certify", "--in", str(matrix), "--cert", str(cert)],
+    }
+
+    def call(name):
+        out.unlink(missing_ok=True)
+        code = run(*calls[name])
+        captured = capsys.readouterr()
+        if name == "solve":
+            cert.write_text(captured.out)
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    first = {name: call(name) for name in calls}
+    assert all(code == 0 for code, *_ in first.values())
+    assert "failure probability" in first["verify-trials"][2]
+    assert "failure probability" not in first["verify"][2]
+    assert first["certify-out"][1] == "" and first["certify-out"][3] == first["certify"][1].encode()
+    for name in reversed(list(calls)):
+        assert call(name) == first[name], name
+    for name in calls:
+        assert call(name) == first[name], name
 
 
 # ---------------------------------------------------------------- oracle

@@ -128,8 +128,6 @@ def test_rigidity_params():
     F101 = PrimeField(101)
     params = RigidityParams(F101, 3, 1, 1)
     assert params.in_arity == 8
-    assert params.epsilon_rank == 1 / 3
-    assert params.epsilon_sparse == 1 / 9
     with pytest.raises(ValueError, match="field too small"):
         RigidityParams(PrimeField(7), 3, 1, 1)
     with pytest.raises(ValueError):
