@@ -62,6 +62,8 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.d_min <= self.d_max:
             raise ValueError("need 1 <= d_min <= d_max")
+        if self.d_max > DEGREE_SEARCH_CAP:
+            raise ValueError(f"d_max={self.d_max} exceeds the degree cap {DEGREE_SEARCH_CAP}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,9 @@ class AnnihilatorCertificate:
         q = MultiPoly.from_json_dict(doc["Q"])
         if type(doc["p"]) is not int or type(doc["D"]) is not int:
             raise TypeError(f"certificate p and D must be ints: p={doc['p']!r}, D={doc['D']!r}")
+        # bounds deg Q, and with it the cost of every check of Q o P
+        if not 1 <= doc["D"] <= DEGREE_SEARCH_CAP or q.degree() > doc["D"]:
+            raise ValueError(f"need deg Q <= D in 1..{DEGREE_SEARCH_CAP}: D={doc['D']}, deg Q={q.degree()}")
         if doc["p"] != pmap.field.p or doc["label"] != pmap.label:
             raise ValueError("certificate p or label contradicts its map")
         if q.field != pmap.field or q.nvars != pmap.out_arity:
@@ -153,7 +158,9 @@ def composition_matrix_symbolic(pmap: PolyMap, D: int):
     """Matrix of Q -> Q o P: columns indexed by monomial_basis(N, D), rows by
     the monomials of F_p[x_1..x_m] up to degree deg(P)*D that actually occur.
 
-    Returns (rows x cols int64 array, column basis). Omitted rows are
+    Returns (rows x cols array, column basis). The entries are residues in
+    the narrowest unsigned dtype that holds p - 1: the matrix is mostly zeros,
+    and its size sets the symbolic solver's peak memory. Omitted rows are
     identically zero and do not change the nullspace.
     """
     d = pmap.degree()
@@ -167,7 +174,7 @@ def composition_matrix_symbolic(pmap: PolyMap, D: int):
     _, images = packed_images(basis, pmap)
     # rows in ascending order of their packed monomial
     rows = np.unique(images.keys)
-    A = np.zeros((len(rows), len(basis)), dtype=np.int64)
+    A = np.zeros((len(rows), len(basis)), dtype=np.min_scalar_type(pmap.field.p - 1))
     A[np.searchsorted(rows, images.keys), np.repeat(np.arange(len(basis)), np.diff(images.offsets))] = images.coeffs
     return A, basis
 
@@ -250,13 +257,15 @@ def kernel(A, p: int) -> list[list[int]]:
 
     Each basis vector is scaled so its first nonzero coordinate (in column
     order) is 1. Vectors appear in ascending order of their free column.
+    A may hold integers of any dtype: each block is taken to int64 mod p on
+    its own, so a narrow A is never widened whole.
 
     Rows are taken _BLOCK_ROWS at a time: a block is cleared on the pivot
     columns found so far with one matmul, brought to reduced echelon form,
     and its new pivot columns are cleared from the earlier rows with a second
     matmul. Both matmuls touch only the pivots that occur in the block.
     """
-    A = np.asarray(A, dtype=np.int64)
+    A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("kernel expects a 2-d matrix")
     nrows, ncols = A.shape
@@ -270,7 +279,7 @@ def kernel(A, p: int) -> list[list[int]]:
     for start in range(0, nrows, _BLOCK_ROWS):
         if r == ncols:
             break
-        C = A[start:start + _BLOCK_ROWS] % p
+        C = A[start:start + _BLOCK_ROWS].astype(np.int64) % p
         C = C[C.any(axis=1)]
         used = np.flatnonzero(C[:, piv[:r]].any(axis=0))
         if used.size:

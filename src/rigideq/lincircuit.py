@@ -9,6 +9,7 @@ small-enough circuit embeds as a specialization.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -220,36 +221,40 @@ def universal_map(graph: UniversalGraph) -> PolyMap:
     return PolyMap(F, nvars, tuple(coords), label=f"universal({n},{graph.s_budget},{graph.L},{graph.w})")
 
 
+@functools.lru_cache(maxsize=16)
+def _lagrange_weights(field: PrimeField, alphas: tuple) -> tuple:
+    """w_i = 1 / prod_{j != i} (alpha_i - alpha_j): the Lagrange denominators of one graph's nodes."""
+    p = field.p
+    weights = []
+    for i, a in enumerate(alphas):
+        d = 1
+        for j, b in enumerate(alphas):
+            if j != i:
+                d = d * (a - b) % p
+        weights.append(field.inv(d))
+    return tuple(weights)
+
+
 def universal_eval(graph: UniversalGraph, x_vals: Sequence[int], y_vals: Sequence[int]) -> list[list[int]]:
     """Evaluate U at a point numerically: n x n matrix, entry [i][j]."""
     F, n, k = graph.field, graph.n, graph.s_budget
     if len(x_vals) != k or len(y_vals) != k:
         raise ValueError(f"need k={k} x-values and y-values")
-    p = F.p
-    point = [v % p for v in x_vals] + [v % p for v in y_vals]
+    p, s = F.p, graph.edge_count
     alphas = graph.sv_params.alphas
-    # u_i(t) by the explicit Lagrange product formula
-    denom_inv = []
-    for i in range(graph.edge_count):
-        d = 1
-        for j in range(graph.edge_count):
-            if j != i:
-                d = d * (alphas[i] - alphas[j]) % p
-        denom_inv.append(F.inv(d))
-
-    def u_at(i: int, t: int) -> int:
-        num = 1
-        for j in range(graph.edge_count):
-            if j != i:
-                num = num * (t - alphas[j]) % p
-        return num * denom_inv[i] % p
-
-    edge_vals = []
-    for idx in range(graph.edge_count):
-        v = 0
-        for j in range(k):
-            v = (v + u_at(idx, point[k + j]) * point[j]) % p
-        edge_vals.append(v)
+    weights = _lagrange_weights(F, alphas)
+    # u_i(t) = w_i * prod_{j != i} (t - alpha_j), from prefix and suffix
+    # products with no division, so that t = alpha_i still gives delta_ij
+    edge_vals = [0] * s
+    for x, t in zip(x_vals, y_vals):
+        x, t = x % p, t % p
+        suffix = [1] * (s + 1)
+        for j in range(s - 1, -1, -1):
+            suffix[j] = suffix[j + 1] * (t - alphas[j]) % p
+        prefix = x
+        for i in range(s):
+            edge_vals[i] = (edge_vals[i] + prefix * suffix[i + 1] % p * weights[i]) % p
+            prefix = prefix * (t - alphas[i]) % p
     incoming: dict[tuple, list] = {}
     for idx, (src, dst) in enumerate(graph.edges):
         incoming.setdefault(dst, []).append((src, edge_vals[idx]))

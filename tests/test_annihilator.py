@@ -35,7 +35,7 @@ from rigideq import (
 )
 import rigideq.annihilator as annihilator
 from rigideq import cli
-from rigideq.annihilator import VerificationError, vector_to_poly
+from rigideq.annihilator import DEGREE_SEARCH_CAP, VerificationError, vector_to_poly
 
 import rigideq.poly as poly
 from test_poly import _level_spy, _wide_map, reference_compose
@@ -220,7 +220,10 @@ def test_kernel_matches_reference(p, block_rows, monkeypatch):
     if block_rows:
         monkeypatch.setattr(annihilator, "_BLOCK_ROWS", block_rows)
     for name, A in _seeded_matrices(p, p % 1000).items():
-        assert kernel(A, p) == reference_kernel(A, p), name
+        want = reference_kernel(A, p)
+        assert kernel(A, p) == want, name
+        # the symbolic builder's dtype: the narrowest unsigned one that holds p - 1
+        assert kernel(A.astype(np.min_scalar_type(p - 1)), p) == want, name
 
 
 # ---------------------------------------------------------------- composition matrices
@@ -265,7 +268,7 @@ def test_symbolic_matches_column_builder(name, f101):
     for D in range(1, d_max + 1):
         A, basis = composition_matrix_symbolic(pmap, D)
         B, ref_basis = reference_symbolic(pmap, D)
-        assert basis == ref_basis and A.shape == B.shape and A.dtype == B.dtype
+        assert basis == ref_basis and A.shape == B.shape and A.dtype == np.min_scalar_type(f101.p - 1)
         # the same rows, possibly in another order
         assert sorted(map(tuple, A.tolist())) == sorted(map(tuple, B.tolist())), (name, D)
 
@@ -273,7 +276,7 @@ def test_symbolic_matches_column_builder(name, f101):
 def _same_matrix(pmap, D):
     A, basis = composition_matrix_symbolic(pmap, D)
     B, ref_basis = reference_symbolic(pmap, D)
-    assert basis == ref_basis and A.shape == B.shape and A.dtype == B.dtype
+    assert basis == ref_basis and A.shape == B.shape and A.dtype == np.min_scalar_type(pmap.field.p - 1)
     assert sorted(map(tuple, A.tolist())) == sorted(map(tuple, B.tolist())), (pmap.label, D)
 
 
@@ -433,6 +436,10 @@ def test_solver_config_validation():
         SolverConfig(mode="quantum")
     with pytest.raises(ValueError):
         SolverConfig(d_min=3, d_max=2)
+    # the loader refuses certificates with D above the cap, so solve must not write one
+    SolverConfig(d_max=DEGREE_SEARCH_CAP)
+    with pytest.raises(ValueError, match="degree cap"):
+        SolverConfig(d_max=DEGREE_SEARCH_CAP + 1)
 
 
 def test_certificate_json_round_trip(f101):

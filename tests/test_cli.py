@@ -1,5 +1,8 @@
+import builtins
 import hashlib
 import json
+import os
+import threading
 
 import pytest
 
@@ -140,13 +143,21 @@ def _float_exponents(doc):
         term["e"] = [float(e) for e in term["e"]]
 
 
+def _huge_degree(doc):
+    # deg Q = D = 10**9: only the cap on D refuses it
+    e = doc["Q"]["terms"][0]["e"]
+    e[:] = [10**9] + [0] * (len(e) - 1)
+    doc["D"] = 10**9
+
+
 def _malformed_certs(tmp_path, cert_file):
     """Certificates with no Q, with a Q.nvars its exponents contradict, with
     a top-level p its map contradicts, with a verification record that is
     not an object, and with numbers that are not JSON integers: a float or
     bool coefficient, a fractional exponent (whose grlex ancestors never
     reach the constant), integral floats for exponents, for every p, for
-    nvars and for the map's m and N."""
+    nvars and for the map's m and N. Then a Q of degree above D, and D and
+    an exponent of 10**9, whose Q o P check would walk 10**9 grlex ancestors."""
     paths = []
     for name, forge in (
         ("no-q", lambda d: d.pop("Q")),
@@ -165,6 +176,8 @@ def _malformed_certs(tmp_path, cert_file):
         ("float-m", lambda d: d["map"].update(m=float(d["map"]["m"]))),
         ("float-n", lambda d: d["map"].update(N=float(d["map"]["N"]))),
         ("bool-map-exponent", lambda d: d["map"]["coords"][0]["terms"][0]["e"].__setitem__(0, True)),
+        ("q-above-D", lambda d: d["Q"]["terms"][0]["e"].__setitem__(0, d["Q"]["terms"][0]["e"][0] + d["D"])),
+        ("huge-D", _huge_degree),
     ):
         doc = json.loads(cert_file.read_text())
         forge(doc)
@@ -291,6 +304,105 @@ def test_one_parser_per_process(tmp_path, capsys):
         assert call(name) == first[name], name
     for name in calls:
         assert call(name) == first[name], name
+
+
+# ---------------------------------------------------------------- --out
+
+
+# certify --out bytes of the identity matrix, as emitted before --out was
+# written in place
+CERTIFY_OUT_SHA256 = {
+    "rigidity(2,1,0)": "61701fb3ee8d566a7d43323825f94a24991285d3091f5f5d4296660c8de692ef",
+    "rigidity(4,2,0)": "666cb244b68c4f8f5da61c12839d2e7edaf06f0db7085d90a9e34a4f3c10d172",
+}
+
+
+@pytest.fixture()
+def identity_certify(tmp_path, capsys):
+    """argv of `certify` of the identity with each rigidity certificate, by spec."""
+    argvs = {}
+    for spec, p, dmax, n in (("rigidity(2,1,0)", 5, 2, 2), ("rigidity(4,2,0)", 101, 3, 4)):
+        cert, matrix = tmp_path / f"{spec}.json", tmp_path / f"{spec}.txt"
+        assert run("solve", "--map", spec, "-p", str(p), "--dmax", str(dmax), "--out", str(cert)) == 0
+        rows = [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+        matrix.write_text(f"{p} {n} {n}\n" + "\n".join(rows) + "\n")
+        argvs[spec] = ["certify", "--in", str(matrix), "--cert", str(cert)]
+    capsys.readouterr()
+    return argvs
+
+
+def test_out_is_exactly_each_new_document(tmp_path, identity_certify, capsys):
+    """Longer, shorter and longer documents to one path: the file holds each
+    new document and nothing of the old one."""
+    out = tmp_path / "out.json"
+    small_cert = tmp_path / "rigidity(2,1,0).json"
+    for argv, sha in (
+        (identity_certify["rigidity(4,2,0)"], CERTIFY_OUT_SHA256["rigidity(4,2,0)"]),
+        (["solve", "--map", "rigidity(2,1,0)", "-p", "5", "--dmax", "2"], None),
+        (identity_certify["rigidity(2,1,0)"], CERTIFY_OUT_SHA256["rigidity(2,1,0)"]),
+        (identity_certify["rigidity(4,2,0)"], CERTIFY_OUT_SHA256["rigidity(4,2,0)"]),
+    ):
+        assert run(*argv, "--out", str(out)) == 0
+        assert run(*argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert out.read_bytes() == stdout
+        if sha:
+            assert hashlib.sha256(stdout).hexdigest() == sha
+        else:
+            assert stdout == small_cert.read_bytes()
+
+
+def test_out_never_truncates_an_existing_file(tmp_path, identity_certify, monkeypatch):
+    """An existing regular file is opened without O_TRUNC and not with mode
+    "w": closing a file truncated to zero makes ext4 flush it to disk."""
+    out = tmp_path / "out.json"
+    out.write_text("x" * 100_000)
+    opened = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), "O_TRUNC" if flags & os.O_TRUNC else "no O_TRUNC"))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    for argv in (
+        identity_certify["rigidity(4,2,0)"],
+        ["solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2"],
+        ["genmap", "--map", "rank(2,1)", "-p", "101"],
+    ):
+        opened.clear()
+        size = out.stat().st_size
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.stat().st_size < size
+        modes = [how for path, how in opened if path == str(out)]
+        assert modes == ["no O_TRUNC"], (argv[0], modes)
+
+
+def test_out_to_devices_and_fifos(tmp_path, identity_certify, capsys):
+    """Targets that are not regular files are written, not truncated:
+    ftruncate on /dev/null fails with EINVAL."""
+    certify = identity_certify["rigidity(2,1,0)"]
+    assert run(*certify, "--out", os.devnull) == 0
+    assert run("solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2", "--out", os.devnull) == 0
+    assert run("genmap", "--map", "rank(2,1)", "-p", "101", "--out", os.devnull) == 0
+    assert run(*certify) == 0
+    want = capsys.readouterr().out
+    if not hasattr(os, "mkfifo"):
+        return
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(*certify, "--out", str(fifo)) == 0
+    reader.join(timeout=30)
+    assert got == [want]
 
 
 # ---------------------------------------------------------------- oracle

@@ -169,9 +169,11 @@ def test_universal_eval_matches_symbolic(f101):
     rng = random.Random("lc:ueval")
     g = universal_graph(f101, 2, 2, L=2, w=2)
     um = universal_map(g)
-    for _ in range(20):
+    nodes = g.sv_params.alphas
+    for trial in range(40):
         xs = [rng.randrange(f101.p) for _ in range(2)]
-        ys = [rng.randrange(f101.p) for _ in range(2)]
+        # from trial 20 on, y's sit at the Lagrange nodes, where u_i(y) = delta_ij
+        ys = [rng.choice(nodes) if trial >= 20 else rng.randrange(f101.p) for _ in range(2)]
         mat = universal_eval(g, xs, ys)
         flat = um.evaluate(xs + ys)
         # coordinate order is row-major over (input i, output j)
