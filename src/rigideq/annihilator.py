@@ -48,6 +48,8 @@ ROW_CAP = 5_000_000  # estimated rows of the largest symbolic matrix built
 DEGREE_SEARCH_CAP = 64
 SAMPLE_MARGIN = 16
 MAX_RESAMPLE_ROUNDS = 4
+_CERT_KEYS = {"kind", "label", "p", "map", "D", "mode", "seed", "Q", "verification"}
+_COUNTS = {"symbolic": ("kernel_dim", "rows"), "sampled": ("kernel_dim", "rows", "rounds")}  # per mode
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,18 @@ class AnnihilatorCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AnnihilatorCertificate":
+        """The certificate of a document with exactly the fields solve writes."""
+        if set(doc) != _CERT_KEYS or doc["kind"] != "annihilator" or doc["mode"] not in _COUNTS:
+            raise ValueError("not an annihilator certificate with the fields and a mode that solve writes")
+        v, counts = doc["verification"], _COUNTS[doc["mode"]]
+        if not isinstance(v, dict) or set(v) != {"symbolic_verified", *counts} or v["symbolic_verified"] is not True:
+            raise ValueError(f"verification record {v!r} does not fit a {doc['mode']} certificate")
+        if not all(type(v[k]) is int and v[k] >= 1 for k in counts) or v.get("rounds", 1) > MAX_RESAMPLE_ROUNDS:
+            raise ValueError(f"need positive int counts and rounds <= {MAX_RESAMPLE_ROUNDS}: {v}")
         pmap = PolyMap.from_json_dict(doc["map"])
         q = MultiPoly.from_json_dict(doc["Q"])
-        if type(doc["p"]) is not int or type(doc["D"]) is not int:
-            raise TypeError(f"certificate p and D must be ints: p={doc['p']!r}, D={doc['D']!r}")
+        if type(doc["p"]) is not int or type(doc["D"]) is not int or type(doc["seed"]) is not int:
+            raise TypeError(f"certificate p, D and seed must be ints: {doc['p']!r}, {doc['D']!r}, {doc['seed']!r}")
         # bounds deg Q, and with it the cost of every check of Q o P
         if not 1 <= doc["D"] <= DEGREE_SEARCH_CAP or q.degree() > doc["D"]:
             raise ValueError(f"need deg Q <= D in 1..{DEGREE_SEARCH_CAP}: D={doc['D']}, deg Q={q.degree()}")
@@ -110,8 +120,6 @@ class AnnihilatorCertificate:
             raise ValueError("certificate p or label contradicts its map")
         if q.field != pmap.field or q.nvars != pmap.out_arity:
             raise ValueError("Q does not fit the map: wrong field or number of variables")
-        if not isinstance(doc["verification"], dict):
-            raise ValueError("verification record is not an object")
         return cls(
             pmap=pmap,
             q=q,
@@ -126,10 +134,6 @@ class AnnihilatorCertificate:
         return cls.from_json_dict(json.loads(text))
 
 
-def binomial_fits_exactly(n: int, k: int) -> bool:
-    return n <= 10_000
-
-
 def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
@@ -139,7 +143,7 @@ def dimension_gap_holds(m: int, d: int, N: int, D: int) -> bool:
     polynomials is then guaranteed nonzero by dimension count."""
     n1, k1 = N + D, N
     n2, k2 = m + d * D, m
-    if binomial_fits_exactly(n1, k1) and binomial_fits_exactly(n2, k2):
+    if n1 <= 10_000 and n2 <= 10_000:
         return math.comb(n1, k1) > math.comb(n2, k2)
     return _log_comb(n1, k1) > _log_comb(n2, k2)
 

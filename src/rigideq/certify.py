@@ -56,6 +56,8 @@ def verify_pit(q: MultiPoly, pmap: PolyMap, trials: int, seed) -> tuple[bool, Pi
     A nonzero evaluation is conclusive (returns False); all-zero returns True
     with failure probability at most (deg(Q)*deg(P)/p)^trials.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     p = pmap.field.p
     dq, dp = q.degree(), pmap.degree()
     dd = 0 if dq == float("-inf") or dp == float("-inf") else int(dq) * int(dp)

@@ -106,28 +106,6 @@ def circuit_matrix(circuit: LinearCircuit) -> list[list[int]]:
     return [list(coeff.get(o, [0] * n_in)) for o in circuit.outputs]
 
 
-def parse_circuit(text: str, field: PrimeField) -> LinearCircuit:
-    """Circuit file format: "n_inputs n_outputs" header, "src dst label"
-    edge lines, and a final line listing the output vertex ids."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if len(lines) < 2:
-        raise CircuitError("circuit file needs a header and an output line")
-    n_in, n_out = map(int, lines[0].split())
-    edges = []
-    for ln in lines[1:-1]:
-        s, d, lbl = ln.split()
-        edges.append((int(s), int(d), int(lbl)))
-    outputs = tuple(map(int, lines[-1].split()))
-    return LinearCircuit(field, n_in, n_out, tuple(edges), outputs)
-
-
-def format_circuit(circuit: LinearCircuit) -> str:
-    lines = [f"{circuit.n_inputs} {circuit.n_outputs}"]
-    lines.extend(f"{s} {d} {lbl}" for s, d, lbl in circuit.edges)
-    lines.append(" ".join(map(str, circuit.outputs)))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class UniversalGraph:
     """Complete layered DAG: input layer, L internal layers of width w, and an

@@ -5,15 +5,15 @@ The canonical term order everywhere (iteration, serialization, solver column
 order) is graded lexicographic: total degree ascending, then lexicographic on
 exponent vectors with the first variable largest.
 
-Products of polynomials have one kernel on packed terms. A term's exponent
+_products is the one kernel of products of polynomials. A term's exponent
 vector is packed into one integer key (_Layout), so that keys of a product
 add; a term product is a uint64 word holding a tag, the key and the residue
 of the product of coefficients, and one sort and one np.add.reduceat
-(_collect) sum the words with equal tag and key. packed_weighted_sum sums
-products a_t * b_t (MultiPoly * MultiPoly is its one-pair call); _products
-makes a batch of products, one per tag. Below _NUMPY_MUL_THRESHOLD term
-pairs per sort, or when a word would need more than 64 bits, term pairs are
-added into dicts instead.
+(_collect) sum the words with equal tag and key: products with one tag add
+into one result. packed_weighted_sum, the sum of products a_t * b_t
+(MultiPoly * MultiPoly is its one-pair call), is its single-tag call. Below
+_NUMPY_MUL_THRESHOLD term pairs per sort, or when a word would need more
+than 64 bits, term pairs are added into dicts instead.
 
 Every image of a monomial under a map comes from monomial_images, one degree
 at a time: _image_levels runs it with one batch of _products per degree, and
@@ -38,7 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import add, lshift, neg
+from operator import lshift, neg
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -201,30 +201,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.field.p
-            if c == 0:
-                return MultiPoly.zero(self.field, self.nvars)
-            p = self.field.p
-            # c is a unit mod the prime p, so no product is zero
-            return MultiPoly._trusted(self.field, self.nvars, {e: v * c % p for e, v in self.terms.items()})
+            other = MultiPoly.constant(self.field, self.nvars, other)
         self._check_compatible(other)
         return packed_weighted_sum([(self, other)], self.field, self.nvars)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.field, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -304,38 +285,22 @@ class MultiPoly:
 
 
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
-    """Sum of the products a_t * b_t of polynomials.
-
-    From _NUMPY_MUL_THRESHOLD term pairs on, the sum is one batch of packed
-    words (_outer_words, _collect): every term product becomes a uint64 word,
-    its exponents above the residue of the product of coefficients, and one
-    sort brings equal exponents together. Smaller sums, and sums whose words
-    do not fit in 64 bits (_Layout.fits), add every term pair into one dict
-    instead.
-    """
+    """Sum of the products a_t * b_t of polynomials: both sides packed with
+    keys wide enough for every product, then one batch of _products in which
+    every product has tag 0."""
     pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    p = field.p
-    total = sum(len(a.terms) * len(b.terms) for a, b in pairs)
-    if total >= _NUMPY_MUL_THRESHOLD and total * (p - 1) < 2**63:
-        left, right = [a for a, _ in pairs], [b for _, b in pairs]
-        EA, OA = _exponents(left, nvars)
-        EB, OB = _exponents(right, nvars)
-        # the largest exponent of each variable in any product
-        bound = (np.maximum.reduceat(EA, OA[:-1]) + np.maximum.reduceat(EB, OB[:-1])).max(axis=0, initial=0)
-        layout = _Layout(p, bound.tolist())
-        if layout.fits:
-            index = np.arange(len(pairs))
-            words = _outer_words(_pack(left, EA, OA, layout), _pack(right, EB, OB, layout),
-                                 index, index, np.zeros(len(pairs), dtype=np.uint64), layout)
-            return layout.unpack(*_collect(words, layout), field, nvars)
-    out: dict[tuple, int] = {}
-    for a, b in pairs:
-        b_items = list(b.terms.items())
-        for ea, ca in a.terms.items():
-            for eb, cb in b_items:
-                e = tuple(map(add, ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-    return MultiPoly._trusted(field, nvars, {e: r for e, c in out.items() if (r := c % p)})
+    if not pairs:
+        return MultiPoly._trusted(field, nvars, {})
+    left, right = [a for a, _ in pairs], [b for _, b in pairs]
+    EA, OA = _exponents(left, nvars)
+    EB, OB = _exponents(right, nvars)
+    # the largest exponent of each variable in any product
+    bound = (np.maximum.reduceat(EA, OA[:-1]) + np.maximum.reduceat(EB, OB[:-1])).max(axis=0, initial=0)
+    layout = _Layout(field.p, bound.tolist())
+    index = range(len(pairs))
+    sums = _products(_pack(left, EA, OA, layout), _pack(right, EB, OB, layout), index, index, layout, [0] * len(pairs))
+    keys, coeffs = (sums.keys, sums.coeffs) if isinstance(sums, _Packed) else (list(sums[0]), list(sums[0].values()))
+    return layout.unpack(keys, coeffs, field, nvars)
 
 
 class _Packed(NamedTuple):
@@ -357,8 +322,8 @@ class _Layout:
     mod p, and a tag above both, so that one sort orders terms by tag, then
     key. Keys and words are uint64 when a key and a residue fit in one
     word and a product of two residues fits in int64 (``fits``); otherwise
-    keys and coefficients are Python ints in object arrays, and only dict
-    sums and _collect take them.
+    keys and coefficients are Python ints in object arrays, and products
+    are summed in dicts (_dict_products), never by _collect.
     """
 
     def __init__(self, p: int, bound: Sequence[int]):
@@ -433,92 +398,102 @@ def _outer_words(left: _Packed, right: _Packed, li, ri, tags, layout: _Layout) -
 
 
 def _collect(words: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, sums): the distinct values of the bits above the residue of
-    words (tag and key), ascending, and the sum mod p of the residues of the
-    words with each, where that sum is nonzero. Sorts and overwrites words.
+    """(heads, sums): the distinct tags and keys above the residues of uint64
+    words, ascending, and the sum mod p of the residues of the words with
+    each, where that sum is nonzero. Sorts and overwrites words.
 
     This sort and reduce is the one summation of packed terms. A sum adds
-    at most len(words) residues: in int64 for uint64 words, where
-    (p - 1)**2 < 2**63 keeps 2**31 of them in range, and in Python ints
-    for object words.
+    at most len(words) residues in int64, where (p - 1)**2 < 2**63 keeps
+    2**31 of them in range.
     """
-    s, p = layout.scalar, layout.p
-    if layout.fits and len(words) * (p - 1) >= 2**63:
+    p, vbits = layout.p, np.uint64(layout.vbits)
+    if len(words) * (p - 1) >= 2**63:
         raise OverflowError(f"{len(words)} residues mod {p} could overflow int64")
     if not len(words):
-        return words, np.zeros(0, dtype=layout.cdtype)
+        return words, np.zeros(0, dtype=np.int64)
     words.sort()
-    heads = words >> s(layout.vbits)
+    heads = words >> vbits
     starts = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
-    words &= s((1 << layout.vbits) - 1)
-    sums = np.add.reduceat(words.view(layout.cdtype), starts) % p
+    words &= np.uint64((1 << layout.vbits) - 1)
+    sums = np.add.reduceat(words.view(np.int64), starts) % p
     nonzero = sums != 0
     return heads[starts[nonzero]], sums[nonzero]
 
 
-def _arrays(polys: list[dict], layout: _Layout) -> _Packed:
-    """Polynomials given as {key: coefficient} dicts, packed in numpy arrays."""
+def _arrays(polys, layout: _Layout) -> _Packed:
+    """Polynomials packed in numpy arrays: a _Packed as it is, a list of
+    {key: coefficient} dicts converted."""
+    if isinstance(polys, _Packed):
+        return polys
     return _Packed(np.array(list(chain.from_iterable(polys)), dtype=layout.dtype),
                    np.array(list(chain.from_iterable(map(dict.values, polys))), dtype=layout.cdtype),
                    np.array(list(accumulate(map(len, polys), initial=0)), dtype=np.intp))
 
 
-def _products(left, right: list[dict], li: Sequence[int], ri: Sequence[int], layout: _Layout):
-    """The products left[li[j]] * right[ri[j]], in order of j. right is a
-    list of {key: coefficient} dicts, left one too or a _Packed.
+def _dicts(polys) -> list[dict]:
+    """Polynomials as {key: coefficient} dicts: such a list as it is, a
+    _Packed converted."""
+    if isinstance(polys, list):
+        return polys
+    K, C, O = (x.tolist() for x in polys)
+    return [dict(zip(K[s:e], C[s:e])) for s, e in zip(O, O[1:])]
 
-    When the words fit in 64 bits, the products are made as words tagged
-    by j, at most _SORT_WORDS words per sort (one product may take more),
-    with as many products per sort as the bits above the key leave tags
+
+def _products(left, right, li: Sequence[int], ri: Sequence[int], layout: _Layout, tags=None):
+    """The products left[li[j]] * right[ri[j]], those with equal tags[j]
+    summed, in order of tag: tags are ints >= 0 that ascend, and by default
+    each product has its own. Each side is a list of {key: coefficient}
+    dicts or a _Packed.
+
+    When the words fit in 64 bits, the sums are made as words tagged by
+    result, at most _SORT_WORDS words per sort (one result may take more),
+    with as many results per sort as the bits above the key leave tags
     for, from _NUMPY_MUL_THRESHOLD term pairs per such sort on; they come
     back as a _Packed. Otherwise every term pair is added into a dict per
-    product, keyed by Python ints (_dict_products), and they come back as
+    result, keyed by Python ints (_dict_products), and they come back as
     a list of such dicts, so that small products never pay numpy's set-up.
     """
     p = layout.p
     sizes = list(map(len, left)) if isinstance(left, list) else np.diff(left.offsets).tolist()
-    right_sizes = list(map(len, right))
+    right_sizes = list(map(len, right)) if isinstance(right, list) else np.diff(right.offsets).tolist()
     pairs = [sizes[a] * right_sizes[b] for a, b in zip(li, ri)]
     total = sum(pairs)
-    most = 1 << max(0, 64 - layout.vbits - layout.kbits)  # products whose tags fit above the key
-    sorts = -(-len(li) // most)
+    results = len(li) if tags is None else len(set(tags))
+    most = 1 << max(0, 64 - layout.vbits - layout.kbits)  # results whose tags fit above the key
+    sorts = -(-results // most)
     if total < _NUMPY_MUL_THRESHOLD * sorts or not layout.fits or total * (p - 1) >= 2**63:
-        return _dict_products(left, right, li, ri, p)
-    if isinstance(left, list):
-        left = _arrays(left, layout)
-    right = _arrays(right, layout)
+        return _dict_products(left, right, li, ri, p, tags)
+    left, right = _arrays(left, layout), _arrays(right, layout)
     li, ri = np.array(li, dtype=np.intp), np.array(ri, dtype=np.intp)
-    ends = np.cumsum(pairs)
+    # the first product of each result, then len(li); the words before each
+    firsts = np.arange(len(li) + 1) if tags is None else np.append(np.flatnonzero(np.diff(tags, prepend=-1)), len(li))
+    bounds = np.concatenate(([0], np.cumsum(pairs)))[firsts]
     kbits = np.uint64(layout.kbits)
     keys, coeffs, offsets = [], [], [np.zeros(1, dtype=np.intp)]
     start = 0
-    while start < len(li):
-        stop = int(np.searchsorted(ends, ends[start] - pairs[start] + _SORT_WORDS, side="right"))
+    while start < results:
+        stop = int(np.searchsorted(bounds, bounds[start] + _SORT_WORDS, side="right")) - 1
         stop = min(max(stop, start + 1), start + most)
-        tags = np.arange(stop - start, dtype=np.uint64)
-        heads, sums = _collect(_outer_words(left, right, li[start:stop], ri[start:stop], tags, layout), layout)
+        js, local = slice(firsts[start], firsts[stop]), np.arange(stop - start, dtype=np.uint64)
+        words = _outer_words(left, right, li[js], ri[js], np.repeat(local, np.diff(firsts[start:stop + 1])), layout)
+        heads, sums = _collect(words, layout)
         keys.append(heads & np.uint64((1 << layout.kbits) - 1))
         coeffs.append(sums)
-        offsets.append(offsets[-1][-1] + np.searchsorted(heads >> kbits, tags + np.uint64(1)))
+        offsets.append(offsets[-1][-1] + np.searchsorted(heads >> kbits, local + np.uint64(1)))
         start = stop
     return _Packed(np.concatenate(keys), np.concatenate(coeffs), np.concatenate(offsets))
 
 
-def _dict_products(left, right: list[dict], li: Sequence[int], ri: Sequence[int], p: int) -> list[dict]:
-    if not isinstance(left, list):
-        K, C, O = (x.tolist() for x in left)
-        left = [dict(zip(K[s:e], C[s:e])) for s, e in zip(O, O[1:])]
-    right_terms = {b: list(right[b].items()) for b in set(ri)}
-    out = []
-    for a, b in zip(li, ri):
-        acc: dict[int, int] = {}
-        b_terms = right_terms[b]
+def _dict_products(left, right, li: Sequence[int], ri: Sequence[int], p: int, tags=None) -> list[dict]:
+    left, right = _dicts(left), _dicts(right)
+    accs: dict[int, dict] = {}  # by tag, in order of tag
+    for a, b, tag in zip(li, ri, range(len(li)) if tags is None else tags):
+        acc, b_terms = accs.setdefault(tag, {}), right[b].items()
         for ka, ca in left[a].items():
             for kb, cb in b_terms:
                 k = ka + kb
                 acc[k] = acc.get(k, 0) + ca * cb
-        out.append({k: r for k, c in acc.items() if (r := c % p)})
-    return out
+    return [{k: r for k, c in acc.items() if (r := c % p)} for acc in accs.values()]
 
 
 @dataclass(frozen=True)
@@ -560,7 +535,7 @@ class PolyMap:
         """
         p, m = self.field.p, self.in_arity
         longest = max([len(q.terms) for q in self.coordinates], default=0)
-        # the overflow guard of packed_weighted_sum: products of two residues,
+        # the overflow guards of _products: products of two residues,
         # then sums of at most `longest` residues
         dtype = np.int64 if max((p - 1) ** 2, longest * (p - 1)) < 2**63 else object
         rows = []
@@ -676,7 +651,7 @@ def packed_images(monomials: Sequence[tuple], pmap: PolyMap) -> tuple[_Layout, _
 
 
 def _concat(levels: list, layout: _Layout) -> _Packed:
-    levels = [_arrays(level, layout) if isinstance(level, list) else level for level in levels]
+    levels = [_arrays(level, layout) for level in levels]
     starts = np.cumsum([0] + [len(level.keys) for level in levels[:-1]])
     offsets = [np.zeros(1, dtype=np.intp)] + [level.offsets[1:] + s for level, s in zip(levels, starts)]
     return _Packed(np.concatenate([level.keys for level in levels]),

@@ -51,7 +51,6 @@ from rigideq import (
     universal_graph,
     universal_map,
 )
-from rigideq.annihilator import binomial_fits_exactly
 from rigideq.cli import main as cli_main
 
 from conftest import random_poly, record_score
@@ -356,7 +355,7 @@ def test_criterion_08_dimension_count():
         m = round(4 * eps * n * n)
         d = n * n
         D = n**3
-        assert not binomial_fits_exactly(N + D, N)  # forces the log-domain path
+        assert N + D > 10_000  # forces the log-domain path
         assert dimension_gap_holds(m, d, N, D), "dim V2 < dim V1 must hold at eps=1/30"
         # tighter-budget sanity: the inequality direction flips for eps near 1
         assert not dimension_gap_holds(4 * n * n, d, N, D)

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from rigideq import AnnihilatorCertificate, PolyMap, PrimeField, determinant_poly
+from rigideq.annihilator import MAX_RESAMPLE_ROUNDS
 from rigideq.cli import build_parser, main
 
 
@@ -157,7 +158,12 @@ def _malformed_certs(tmp_path, cert_file):
     bool coefficient, a fractional exponent (whose grlex ancestors never
     reach the constant), integral floats for exponents, for every p, for
     nvars and for the map's m and N. Then a Q of degree above D, and D and
-    an exponent of 10**9, whose Q o P check would walk 10**9 grlex ancestors."""
+    an exponent of 10**9, whose Q o P check would walk 10**9 grlex ancestors.
+    Then fields that solve never writes: an extra or missing top-level key,
+    another kind or mode, a seed that is not an int, a verification record
+    with a key too many or too few for its mode, symbolic_verified other
+    than true, counts that are not positive ints, and rounds outside
+    1..MAX_RESAMPLE_ROUNDS."""
     paths = []
     for name, forge in (
         ("no-q", lambda d: d.pop("Q")),
@@ -178,6 +184,20 @@ def _malformed_certs(tmp_path, cert_file):
         ("bool-map-exponent", lambda d: d["map"]["coords"][0]["terms"][0]["e"].__setitem__(0, True)),
         ("q-above-D", lambda d: d["Q"]["terms"][0]["e"].__setitem__(0, d["Q"]["terms"][0]["e"][0] + d["D"])),
         ("huge-D", _huge_degree),
+        ("extra-key", lambda d: d.update(extra=1)),
+        ("no-seed", lambda d: d.pop("seed")),
+        ("kind", lambda d: d.update(kind="rigidity")),
+        ("mode-magic", lambda d: d.update(mode="magic")),
+        ("seed-x", lambda d: d.update(seed="x")),
+        ("symbolic-rounds", lambda d: d["verification"].update(rounds=1)),
+        ("sampled-without-rounds", lambda d: d.update(mode="sampled")),
+        ("symbolic-verified-no", lambda d: d["verification"].update(symbolic_verified="no")),
+        ("symbolic-verified-1", lambda d: d["verification"].update(symbolic_verified=1)),
+        ("kernel-dim-negative", lambda d: d["verification"].update(kernel_dim=-7)),
+        ("kernel-dim-bool", lambda d: d["verification"].update(kernel_dim=True)),
+        ("rows-lots", lambda d: d["verification"].update(rows="lots")),
+        ("rounds-0", lambda d: (d.update(mode="sampled"), d["verification"].update(rounds=0))),
+        ("rounds-5", lambda d: (d.update(mode="sampled"), d["verification"].update(rounds=5))),
     ):
         doc = json.loads(cert_file.read_text())
         forge(doc)
@@ -197,6 +217,13 @@ def test_certify_corrupted_cert(tmp_path, rigidity_cert_file, capsys):
     for cert in [bad] + _malformed_certs(tmp_path, rigidity_cert_file):
         assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
         assert "verification" in capsys.readouterr().err
+    # the largest rounds a sampled certificate may record
+    doc = json.loads(rigidity_cert_file.read_text())
+    doc["mode"] = "sampled"
+    doc["verification"]["rounds"] = MAX_RESAMPLE_ROUNDS
+    sampled = tmp_path / "sampled.json"
+    sampled.write_text(json.dumps(doc))
+    assert run("certify", "--in", str(matrix), "--cert", str(sampled)) == 0
 
 
 def test_certify_refuses_a_float_coefficient(tmp_path, capsys):
@@ -258,6 +285,10 @@ def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
     assert run("verify", "--cert", str(rigidity_cert_file)) == 0
     assert run("verify", "--cert", str(rigidity_cert_file), "--trials", "10") == 0
     capsys.readouterr()
+    # a negative trial count used to print (d/p)^-3 and verify
+    assert run("verify", "--cert", str(rigidity_cert_file), "--trials", "-3") == 64
+    err = capsys.readouterr().err
+    assert "trials must be >= 0" in err and "verified" not in err
     doc = json.loads(rigidity_cert_file.read_text())
     doc["Q"]["terms"] = doc["Q"]["terms"][:1]
     bad = tmp_path / "bad.json"

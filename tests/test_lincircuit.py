@@ -17,12 +17,7 @@ from rigideq import (
     universal_graph,
     universal_map,
 )
-from rigideq.lincircuit import (
-    CircuitError,
-    format_circuit,
-    parse_circuit,
-    topological_order,
-)
+from rigideq.lincircuit import CircuitError, topological_order
 
 from conftest import random_poly
 
@@ -66,13 +61,6 @@ def test_circuit_validation(f101):
         LinearCircuit(f101, 2, 1, ((2, 0, 1),), (2,))
     with pytest.raises(CircuitError):
         LinearCircuit(f101, 1, 2, ((0, 1, 1),), (1,))
-
-
-def test_circuit_parse_format_round_trip(f101):
-    text = "2 2\n0 4 2\n1 4 3\n4 2 5\n4 3 7\n2 3\n"
-    c = parse_circuit(text, f101)
-    assert c.n_inputs == 2 and c.size == 4 and c.outputs == (2, 3)
-    assert parse_circuit(format_circuit(c), f101) == c
 
 
 # ---------------------------------------------------------------- universal graph

@@ -50,7 +50,9 @@ def test_arithmetic_against_evaluation(f101):
         assert (a + b).evaluate(pt) == (a.evaluate(pt) + b.evaluate(pt)) % f101.p
         assert (a - b).evaluate(pt) == (a.evaluate(pt) - b.evaluate(pt)) % f101.p
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt) % f101.p
-        assert (a**3).evaluate(pt) == pow(a.evaluate(pt), 3, f101.p)
+        assert (a * a * a).evaluate(pt) == pow(a.evaluate(pt), 3, f101.p)
+        assert (a * 7).evaluate(pt) == (7 * a).evaluate(pt) == a.evaluate(pt) * 7 % f101.p
+    assert -1 * a == -a and a * 102 == a and (a * 0).is_zero() and (a * 101).is_zero()
 
 
 def test_sorted_terms_grlex(f101):
@@ -362,6 +364,39 @@ def test_compose_largest_prime(monkeypatch):
         assert layout.fits and 64 - layout.vbits - layout.kbits == 1
         assert poly_compose(q, pmap) == reference_compose(q, pmap)
     assert calls["sorts"] > 0 and calls["dict"] == 0
+
+
+def test_products_sum_equal_tags(f101, monkeypatch):
+    """Products that share a tag add into one result, in order of tag, on
+    the sort branch (a result of more than _SORT_WORDS words takes a sort of
+    its own) and on the dict branch (below the threshold, or at any size
+    when the layout is wider than a word), from either side as dicts or
+    packed; a sum that cancels comes back empty at its place."""
+    monkeypatch.setattr(poly, "_SORT_WORDS", 64)
+    calls = _level_spy(monkeypatch)
+    rng = random.Random("poly:tags")
+    polys = [_dense_poly(rng, f101, 3, 8, 3) for _ in range(3)] + [random_poly(rng, f101, 3, 3) for _ in range(4)]
+    polys.append(-polys[3])
+    # tag 0: three 64-word products; tag 2: polys[3] * b - polys[3] * b = 0
+    li = [0, 1, 2, 4, 3, 7, 5, 6, 6]
+    ri = [1, 2, 0, 5, 4, 4, 6, 0, 3]
+    tags = [0, 0, 0, 1, 2, 2, 3, 3, 3]
+    want = [_schoolbook([(polys[a], polys[b]) for a, b, t in zip(li, ri, tags) if t == tag], f101) for tag in range(4)]
+    assert want[2] == {} and all(want[t] for t in (0, 1, 3))
+    narrow, wide = poly._Layout(f101.p, [6] * 3), poly._Layout(f101.p, [2**30] * 3)
+    for layout, threshold, sorted_branch in ((narrow, 1, True), (narrow, 10**6, False), (wide, 1, False)):
+        monkeypatch.setattr(poly, "_NUMPY_MUL_THRESHOLD", threshold)
+        dicts = [{layout.key(e): c for e, c in q.terms.items()} for q in polys]
+        for left, right in ((dicts, dicts), (poly._arrays(dicts, layout), dicts), (dicts, poly._arrays(dicts, layout))):
+            calls.update(sorts=0, dict=0)
+            sums = poly._products(left, right, li, ri, layout, tags)
+            assert isinstance(sums, poly._Packed) == sorted_branch
+            if sorted_branch:
+                assert calls["sorts"] > 1 and calls["dict"] == 0 and len(sums.offsets) == 5
+            else:
+                assert calls == {"sorts": 0, "dict": 1}
+            got = [layout.unpack(list(d), list(d.values()), f101, 3).terms for d in poly._dicts(sums)]
+            assert got == want
 
 
 def _rank1_map_2x2(field):
