@@ -168,7 +168,9 @@ def universal_map(graph: UniversalGraph) -> PolyMap:
 
     Computed by layered dynamic programming (each vertex carries a vector of
     n coefficient polynomials), never by path enumeration. Coordinate order
-    is row-major over (input i, output j).
+    is row-major over (input i, output j). Each packed_weighted_sum returns
+    an array-born polynomial, which the next layer's sums, the degree-bound
+    check and PolyMap.evaluate_many read without building its terms dict.
     """
     F, n = graph.field, graph.n
     labels = sv_map(graph.sv_params).coordinates

@@ -156,14 +156,17 @@ def tensor_rank_bruteforce(tensor: DenseTensor, r_max: int, cost_ceiling: int = 
     return None
 
 
+def _file_ints(text: str) -> list[int]:
+    """The integers of a matrix or tensor file; a '#' starts a comment that
+    runs to the end of its line."""
+    return [int(t) for line in text.splitlines() for t in line.partition("#")[0].split()]
+
+
 def parse_matrix(text: str) -> DenseMatrix:
-    """File format: first line "p rows cols", then row-major entries."""
-    tokens = [t for line in text.splitlines() for t in line.split() if not t.startswith("#")]
-    p, rows, cols = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    entries = tuple(int(t) for t in tokens[3 : 3 + rows * cols])
-    if len(entries) != rows * cols:
-        raise ValueError("matrix file truncated")
-    return DenseMatrix(PrimeField(p), rows, cols, entries)
+    """File format: first line "p rows cols", then exactly rows * cols
+    row-major entries (DenseMatrix refuses any other count)."""
+    p, rows, cols, *entries = _file_ints(text)
+    return DenseMatrix(PrimeField(p), rows, cols, tuple(entries))
 
 
 def format_matrix(matrix: DenseMatrix) -> str:
@@ -174,13 +177,10 @@ def format_matrix(matrix: DenseMatrix) -> str:
 
 
 def parse_tensor(text: str) -> DenseTensor:
-    """File format: first line "p n d", then mixed-radix row-major entries."""
-    tokens = [t for line in text.splitlines() for t in line.split() if not t.startswith("#")]
-    p, n, d = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    entries = tuple(int(t) for t in tokens[3 : 3 + n**d])
-    if len(entries) != n**d:
-        raise ValueError("tensor file truncated")
-    return DenseTensor(PrimeField(p), n, d, entries)
+    """File format: first line "p n d", then exactly n**d mixed-radix
+    row-major entries (DenseTensor refuses any other count)."""
+    p, n, d, *entries = _file_ints(text)
+    return DenseTensor(PrimeField(p), n, d, tuple(entries))
 
 
 def format_tensor(tensor: DenseTensor) -> str:

@@ -1,6 +1,12 @@
 """Sparse multivariate polynomials over F_p and polynomial maps.
 
-Terms are stored as a dict mapping exponent tuples to nonzero coefficients.
+A polynomial's terms are a dict mapping exponent tuples to nonzero
+coefficients. A nonzero polynomial made from packed keys (_Layout.unpack:
+every product and composition) is an _ArrayPoly, born from arrays instead:
+an exponent matrix (terms x nvars) and a coefficient vector, in ascending
+key order. Its terms dict is built from them on first access, in that
+order, and kept; len, degree, the packing of a product's factors and
+PolyMap.evaluate_many read the arrays (_term_arrays) and never build it.
 The canonical term order everywhere (iteration, serialization, solver column
 order) is graded lexicographic: total degree ascending, then lexicographic on
 exponent vectors with the first variable largest.
@@ -139,7 +145,7 @@ class MultiPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self)
 
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
@@ -161,11 +167,15 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __len__(self):
+    def __len__(self):  # bool() falls back on it
         return len(self.terms)
+
+    def _term_arrays(self, cdtype) -> tuple[np.ndarray, np.ndarray]:
+        """(E, C): the exponent vectors of the terms as the rows of E and
+        their coefficients in C, of dtype cdtype, in the order of terms."""
+        n = len(self.terms)
+        E = np.fromiter(chain.from_iterable(self.terms), dtype=np.int64, count=n * self.nvars).reshape(n, self.nvars)
+        return E, np.array(list(self.terms.values()), dtype=cdtype)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -281,24 +291,61 @@ class MultiPoly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"MultiPoly({self.field}, nvars={self.nvars}, {len(self.terms)} terms)"
+        return f"MultiPoly({self.field}, nvars={self.nvars}, {len(self)} terms)"
+
+
+class _ArrayPoly(MultiPoly):
+    """A nonzero MultiPoly born from arrays: an exponent matrix E (terms x
+    nvars) and a coefficient vector C. len, degree and _term_arrays read
+    them; the terms dict is built from them on first access, in their order,
+    and kept. A subclass, because a class with __getattr__ pays for it on
+    every attribute access: MultiPoly's own stay fast."""
+
+    __slots__ = ("_EC",)
+
+    def __init__(self, field: PrimeField, nvars: int, E: np.ndarray, C: np.ndarray):
+        # trusted, as MultiPoly._trusted: distinct rows of exponents >= 0, coefficients in [1, p)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_EC", (E, C))
+
+    def __getattr__(self, name):
+        # called only for an unset slot: the terms, until they are built
+        if name != "terms":
+            raise AttributeError(name)
+        E, C = self._EC
+        exps = zip(*E.T.tolist()) if self.nvars else [()] * len(C)
+        terms = dict(zip(exps, C.tolist()))
+        object.__setattr__(self, "terms", terms)
+        return terms
+
+    def __len__(self):
+        return len(self._EC[1])
+
+    def degree(self):
+        return int(self._EC[0].sum(axis=1).max())
+
+    def _term_arrays(self, cdtype) -> tuple[np.ndarray, np.ndarray]:
+        E, C = self._EC
+        return E, C.astype(cdtype, copy=False)
 
 
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
     """Sum of the products a_t * b_t of polynomials: both sides packed with
     keys wide enough for every product, then one batch of _products in which
     every product has tag 0."""
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    pairs = [(a, b) for a, b in pairs if a and b]
     if not pairs:
         return MultiPoly._trusted(field, nvars, {})
-    left, right = [a for a, _ in pairs], [b for _, b in pairs]
-    EA, OA = _exponents(left, nvars)
-    EB, OB = _exponents(right, nvars)
-    # the largest exponent of each variable in any product
-    bound = (np.maximum.reduceat(EA, OA[:-1]) + np.maximum.reduceat(EB, OB[:-1])).max(axis=0, initial=0)
-    layout = _Layout(field.p, bound.tolist())
+    cdtype = np.int64 if field.p <= 2**63 else object
+    EA, CA, OA = _stack([a for a, _ in pairs], cdtype)
+    EB, CB, OB = _stack([b for _, b in pairs], cdtype)
+    # the largest exponent of each variable in any product, widened before
+    # adding since exponents may be stored in uint8
+    bound = np.maximum.reduceat(EA, OA[:-1]).astype(np.int64) + np.maximum.reduceat(EB, OB[:-1]).astype(np.int64)
+    layout = _Layout(field.p, bound.max(axis=0, initial=0).tolist())
     index = range(len(pairs))
-    sums = _products(_pack(left, EA, OA, layout), _pack(right, EB, OB, layout), index, index, layout, [0] * len(pairs))
+    sums = _products(_Packed(layout.keys(EA), CA, OA), _Packed(layout.keys(EB), CB, OB), index, index, layout, [0] * len(pairs))
     keys, coeffs = (sums.keys, sums.coeffs) if isinstance(sums, _Packed) else (list(sums[0]), list(sums[0].values()))
     return layout.unpack(keys, coeffs, field, nvars)
 
@@ -336,6 +383,10 @@ class _Layout:
         self.dtype = np.uint64 if self.fits else object  # of keys and words
         self.cdtype = np.int64 if self.fits else object  # of coefficients
         self.scalar = np.uint64 if self.fits else int  # shift counts and masks
+        # of exponents: uint8 while they are below 256, else int64 while the
+        # nvars exponents of a term, each below 2**top, sum below 2**63
+        top = max(self.bits, default=1)
+        self.edtype = np.uint8 if top <= 8 else np.int64 if top + (len(self.bits) - 1).bit_length() <= 63 else object
 
     def keys(self, E: np.ndarray) -> np.ndarray:
         """The packed key of every row of an exponent array."""
@@ -348,30 +399,24 @@ class _Layout:
 
     def unpack(self, keys, coeffs, field: PrimeField, nvars: int) -> "MultiPoly":
         """The polynomial with these distinct keys and nonzero coefficients
-        (numpy arrays or lists)."""
+        (numpy arrays or lists), born from arrays (_ArrayPoly) unless it is
+        zero, its terms in their order."""
         if not len(keys):
             return MultiPoly._trusted(field, nvars, {})
         keys, coeffs = np.asarray(keys, dtype=self.dtype), np.asarray(coeffs, dtype=self.cdtype)
         s = self.scalar
-        # one column of Python ints per variable; zip(*cols) gives the exponent tuples
-        cols = [((keys >> s(k)) & s((1 << w) - 1)).tolist() for k, w in zip(self.shifts, self.bits)]
-        exps = zip(*cols) if cols else [()] * len(keys)
-        return MultiPoly._trusted(field, nvars, dict(zip(exps, coeffs.tolist())))
+        E = np.empty((len(keys), nvars), dtype=self.edtype)
+        for i, (k, w) in enumerate(zip(self.shifts, self.bits)):
+            E[:, i] = (keys >> s(k)) & s((1 << w) - 1)
+        return _ArrayPoly(field, nvars, E, coeffs)
 
 
-def _exponents(polys: Sequence["MultiPoly"], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, offsets): the exponent vectors of every term of polys, one row per
-    term, the terms of polys[j] in rows offsets[j]:offsets[j + 1]."""
-    offsets = np.zeros(len(polys) + 1, dtype=np.intp)
-    np.cumsum([len(q.terms) for q in polys], out=offsets[1:])
-    total = int(offsets[-1])
-    flat = chain.from_iterable(chain.from_iterable(q.terms for q in polys))
-    return np.fromiter(flat, dtype=np.int64, count=total * m).reshape(total, m), offsets
-
-
-def _pack(polys: Sequence["MultiPoly"], E: np.ndarray, offsets: np.ndarray, layout: _Layout) -> _Packed:
-    coeffs = np.fromiter(chain.from_iterable(q.terms.values() for q in polys), dtype=layout.cdtype, count=len(E))
-    return _Packed(layout.keys(E), coeffs, offsets)
+def _stack(polys: Sequence[MultiPoly], cdtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, C, offsets): the _term_arrays of polys one after another, those of
+    polys[j] in rows offsets[j]:offsets[j + 1]."""
+    arrays = [q._term_arrays(cdtype) for q in polys]
+    offsets = np.array(list(accumulate((len(C) for _, C in arrays), initial=0)), dtype=np.intp)
+    return np.concatenate([E for E, _ in arrays]), np.concatenate([C for _, C in arrays]), offsets
 
 
 def _outer_words(left: _Packed, right: _Packed, li, ri, tags, layout: _Layout) -> np.ndarray:
@@ -534,7 +579,7 @@ class PolyMap:
         at most _EVAL_CELLS term values per coordinate.
         """
         p, m = self.field.p, self.in_arity
-        longest = max([len(q.terms) for q in self.coordinates], default=0)
+        longest = max(map(len, self.coordinates), default=0)
         # the overflow guards of _products: products of two residues,
         # then sums of at most `longest` residues
         dtype = np.int64 if max((p - 1) ** 2, longest * (p - 1)) < 2**63 else object
@@ -549,8 +594,8 @@ class PolyMap:
         coords = []
         top = np.zeros(m, dtype=np.intp)
         for q in self.coordinates:
-            E = np.fromiter(chain.from_iterable(q.terms), dtype=np.intp, count=len(q.terms) * m).reshape(len(q.terms), m)
-            coords.append((E, np.array(list(q.terms.values()), dtype=dtype), np.flatnonzero(E.any(axis=0))))
+            E, C = q._term_arrays(dtype)
+            coords.append((E, C, np.flatnonzero(E.any(axis=0))))
             top = np.maximum(top, E.max(axis=0, initial=0))
         out = np.zeros((len(X), self.out_arity), dtype=dtype)
         step = max(1, _EVAL_CELLS // max(longest, 1))
@@ -693,7 +738,7 @@ def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
         words = (images.keys[used] << layout.scalar(layout.vbits)) | coeffs.astype(layout.dtype)
         result = layout.unpack(*_collect(words, layout), field, m)
 
-    if result.terms:
+    if result:
         dp = pmap.degree()
         bound = 0 if dp is NEG_INF else q.degree() * dp  # zero map: only the constant part of q survives
         if result.degree() > bound:

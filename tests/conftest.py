@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rigideq import MultiPoly, PolyMap, PrimeField
+from rigideq.poly import _ArrayPoly
 
 
 # Acceptance criteria report one PASS/FAIL line each; collected here and
@@ -50,3 +51,19 @@ def random_map(rng, field, in_arity, out_arity, max_degree, max_terms=4):
         random_poly(rng, field, in_arity, max_degree, max_terms) for _ in range(out_arity)
     )
     return PolyMap(field, in_arity, coords, label="random")
+
+
+def term_dicts_built(monkeypatch) -> list:
+    """Spy on _ArrayPoly.__getattr__, which builds the terms dict of a
+    polynomial born from arrays on first access: the returned list gets
+    every polynomial that builds one from now on."""
+    built = []
+    real = _ArrayPoly.__getattr__
+
+    def spy(self, name):
+        value = real(self, name)
+        built.append(self)
+        return value
+
+    monkeypatch.setattr(_ArrayPoly, "__getattr__", spy)
+    return built

@@ -446,6 +446,12 @@ def test_oracle_rigid(tmp_path, capsys):
     assert "rigid" in capsys.readouterr().out
     assert run("oracle", "--in", str(m), "--rigid", "1,1") == 1
     assert "not (1,1)-rigid" in capsys.readouterr().out
+    # a comment line whose words are not numbers; entries past rows * cols exit 64
+    m.write_text("# 2x2 identity\n2 2 2\n1 0\n0 1\n")
+    assert run("oracle", "--in", str(m), "--rigid", "1,0") == 0
+    m.write_text("101 2 2\n1 0\n0 1 7 7\n")
+    assert run("oracle", "--in", str(m), "--rigid", "1,0") == 64
+    assert "6 entries for a 2x2 matrix" in capsys.readouterr().err
 
 
 def test_oracle_tensor(tmp_path, capsys):

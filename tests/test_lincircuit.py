@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import warnings
 
@@ -19,7 +21,7 @@ from rigideq import (
 )
 from rigideq.lincircuit import CircuitError, topological_order
 
-from conftest import random_poly
+from conftest import random_poly, term_dicts_built
 
 
 # ---------------------------------------------------------------- circuits
@@ -134,6 +136,35 @@ def test_universal_map_degree_check_raises(f101, monkeypatch):
     monkeypatch.setattr(lc, "packed_weighted_sum", overshoot)
     with pytest.raises(AssertionError, match="degree"):
         universal_map(universal_graph(f101, 1, 1, L=1, w=1))
+
+
+# sha256 of json.dumps(universal_map(g).to_json_dict(), sort_keys=True) at
+# p = 101, as computed before products were born from arrays: the term dicts
+# built from the arrays hold exactly the terms that were built directly
+@pytest.mark.parametrize("n, s, L, w, digest", [
+    (2, 2, 2, 2, "d9b55b887537cc4872e1e789dd7b462f47f6e9ae5514a2eb5fc564a2d56d27ed"),
+    (2, 3, 2, 2, "0ba58b21826fa1cd14e00b957257cc88f660cb30c19e686d346619017ce5adb9"),
+], ids=["2,2,2,2", "2,3,2,2"])
+def test_universal_map_bytes(f101, n, s, L, w, digest):
+    doc = universal_map(universal_graph(f101, n, s, L=L, w=w)).to_json_dict()
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_universal_map_builds_no_term_dicts(f101, monkeypatch):
+    # the products stay arrays from layer to layer, and the degree check,
+    # len and both evaluators read them; serialization and == build dicts
+    built = term_dicts_built(monkeypatch)
+    g = universal_graph(f101, 2, 2, L=2, w=2)
+    um = universal_map(g)
+    assert um.degree() == g.edge_count * (g.L + 1)
+    assert sum(map(len, um.coordinates)) == 11722
+    point = [3, 5, 7, 11]
+    assert um.evaluate(point) == [v for row in universal_eval(g, point[:2], point[2:]) for v in row]
+    assert um.evaluate_many([point, [0] * 4]).tolist()[1] == [0] * 4
+    assert built == []
+    um.coordinates[0].to_json_dict()
+    assert built == [um.coordinates[0]]
+    assert um.coordinates[1] == um.coordinates[1] and built[1:] == [um.coordinates[1]]
 
 
 def test_universal_map_single_path(f101):

@@ -127,3 +127,20 @@ def test_tensor_round_trip():
 def test_parse_matrix_errors():
     with pytest.raises(ValueError):
         parse_matrix("5 2 2\n1 2 3\n")
+    # entries past rows * cols are refused, not ignored
+    with pytest.raises(ValueError, match="6 entries for a 2x2 matrix"):
+        parse_matrix("101 2 2\n1 0\n0 1 7 7\n")
+    with pytest.raises(ValueError):
+        parse_matrix("101 2\n")
+    # '#' comments out the rest of its line, wherever it starts
+    identity = DenseMatrix(PrimeField(101), 2, 2, (1, 0, 0, 1))
+    assert parse_matrix("# 2x2 identity\n101 2 2\n1 0 # first row\n0 1#second\n") == identity
+
+
+def test_parse_tensor_errors():
+    F3 = PrimeField(3)
+    assert parse_tensor("# a 2x2x2 tensor\n3 2 3\n1 0 2 0 # half\n1 1 0 2\n") == DenseTensor(F3, 2, 3, (1, 0, 2, 0, 1, 1, 0, 2))
+    with pytest.raises(ValueError, match="9 entries"):
+        parse_tensor("3 2 3\n1 0 2 0 1 1 0 2 1\n")
+    with pytest.raises(ValueError, match="7 entries"):
+        parse_tensor("3 2 3\n1 0 2 0 1 1 0\n")

@@ -13,7 +13,7 @@ from rigideq import determinant_poly, lagrange_basis, monomial_basis, poly_compo
 import rigideq.poly as poly
 from rigideq.poly import _NUMPY_MUL_THRESHOLD, NEG_INF, grlex_key, monomial_images, packed_weighted_sum
 
-from conftest import random_map, random_poly
+from conftest import random_map, random_poly, term_dicts_built
 
 
 # ---------------------------------------------------------------- MultiPoly
@@ -225,6 +225,59 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     pairs = [(_dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1),
               _dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1)) for _ in range(2)]
     check(pairs, huge_p, 3, packed=False)
+
+
+def test_array_born_matches_dict_born(f101, monkeypatch):
+    """A nonzero product is born from arrays and builds its terms dict only
+    when asked; it agrees with MultiPoly(F, m, its terms) on every
+    operation, and len, bool, degree and evaluate_many build no dict."""
+    rng = random.Random("poly:array-born")
+    F = f101
+    a, b = _dense_poly(rng, F, 3, 40, 6), _dense_poly(rng, F, 3, 40, 6)
+    # factors with exponents up to 200, stored in uint8: the exponent bound
+    # of their product, up to 400, must be summed in a wider type
+    c = _dense_poly(rng, F, 2, 12, 100) * _dense_poly(rng, F, 2, 12, 100)
+    assert c._EC[0].dtype == np.uint8 and c.degree() > 128
+    c_dict = MultiPoly(F, 2, c.terms)
+    wide = [_dense_poly(rng, F, 2, 30, 150) for _ in range(2)]
+    # 8 variables of 9 key bits: the keys leave uint64, the exponents fit int64
+    eight = [_dense_poly(rng, F, 8, 6, 150) for _ in range(2)]
+    small = [random_poly(rng, F, 3, 4, max_terms=5) for _ in range(2)]
+    cases = [  # (make, its terms from the schoolbook, nvars, exponent dtype)
+        (lambda: a * b, _schoolbook([(a, b)], F), 3, np.uint8),
+        (lambda: c * c, _schoolbook([(c_dict, c_dict)], F), 2, np.int64),
+        (lambda: wide[0] * wide[1], _schoolbook([tuple(wide)], F), 2, np.int64),
+        (lambda: eight[0] * eight[1], _schoolbook([tuple(eight)], F), 8, np.int64),
+        (lambda: small[0] * small[1], _schoolbook([tuple(small)], F), 3, np.uint8),
+        (lambda: packed_weighted_sum([(a, b), (a, -b)], F, 3), {}, 3, None),
+        (lambda: MultiPoly.constant(F, 0, 5) * MultiPoly.constant(F, 0, 7), {(): 35}, 0, np.uint8),
+        (lambda: MultiPoly.zero(F, 0) * MultiPoly.constant(F, 0, 7), {}, 0, None),
+    ]
+    built = term_dicts_built(monkeypatch)
+    for make, want, m, edtype in cases:
+        q, d = make(), MultiPoly(F, m, want)
+        points = [[rng.randrange(F.p) for _ in range(m)] for _ in range(50)]
+        if edtype is None:  # zero, and made from a dict
+            assert type(q) is MultiPoly
+        else:
+            assert type(q) is poly._ArrayPoly and q._EC[0].dtype == edtype and len(q._EC[0]) == len(want)
+        assert len(q) == len(d) and bool(q) == bool(d) and q.is_zero() == d.is_zero()
+        assert q.degree() == d.degree()
+        values = PolyMap(F, m, (q, q)).evaluate_many(points)
+        assert values.tolist() == PolyMap(F, m, (d, d)).evaluate_many(points).tolist()
+        assert built == []
+        assert q == d and d == q and hash(q) == hash(d) and q.terms == want
+        assert q.sorted_terms() == d.sorted_terms() and q.to_json_dict() == d.to_json_dict() and str(q) == str(d)
+        assert q.evaluate(points[0]) == d.evaluate(points[0])
+        if m:
+            assert q.substitute(1, 3) == d.substitute(1, 3)
+        assert pickle.loads(pickle.dumps(q)) == d
+        r = random_poly(rng, F, m, 3) if m else MultiPoly.constant(F, 0, 9)
+        for x, y in ((q + r, d + r), (r + q, r + d), (q - r, d - r), (r - q, r - d), (q * r, d * r), (r * q, r * d)):
+            assert x == y
+        # each product built its dict once, on first access, and kept it
+        built.clear()
+        assert q.terms is q.terms and built == []
 
 
 # ---------------------------------------------------------------- PolyMap / compose
