@@ -10,13 +10,15 @@ replaces the astronomically tall symbolic matrix with rows of point
 evaluations; every returned polynomial is verified symbolically, in both
 modes.
 
-The nullspace comes from an exact blocked elimination mod p. Blocks of rows
-are reduced against the echelon rows found so far, and those rows against
-each new block, by float64 matmuls (BLAS). A float64 sum of integers is
-exact below 2**53, so each matmul adds at most k products of residues with
-k * (p - 1)**2 < 2**53; moduli with (p - 1)**2 >= 2**53 are split into
-16-bit limbs first. Row operations inside a block run in int64. Every prime
-p with p * p < 2**62 (up to 2**31 - 1) is supported.
+The nullspace comes from an exact blocked elimination mod p that works only
+where pivots are still missing. The echelon rows are kept on the columns with
+no pivot yet. Each block of rows is cleared against them, and they against
+its new pivots, by float64 matmuls (BLAS); a block finds its own pivots on
+windows as wide as it is tall, with int64 row operations. A float64 sum of
+integers is exact below 2**53, so each matmul adds at most k products of
+residues with k * (p - 1)**2 < 2**53. Moduli with (p - 1)**2 >= 2**53 are
+split into 16-bit limbs, multiplied by three limb products (Karatsuba).
+Every prime p with p * p < 2**62 (up to 2**31 - 1) is supported.
 """
 
 from __future__ import annotations
@@ -206,53 +208,70 @@ _BLOCK_ROWS = 64
 _FLOAT_EXACT = 2**53
 
 
-def _dot_mod(A, B, bound: int, p: int):
-    """(A @ B) mod p as int64, for float64 arrays of integers in [0, bound]:
-    each matmul sums at most k products with k * bound**2 < 2**53, exactly."""
+def _dot_mod(A, B, bound: int, p: int, acc):
+    """acc = (acc + A @ B) mod p in place, for an int64 acc and float64 arrays
+    of integers in [0, bound]: each matmul sums at most k products with
+    k * bound**2 < 2**53, exactly."""
     k = (_FLOAT_EXACT - 1) // (bound * bound)
-    out = (A[:, :k] @ B[:k]).astype(np.int64) % p
-    for s in range(k, A.shape[1], k):
-        out += (A[:, s:s + k] @ B[s:s + k]).astype(np.int64)
-        out %= p
-    return out
+    for s in range(0, A.shape[1], k):
+        np.add(acc, A[:, s:s + k] @ B[s:s + k], out=acc, casting="unsafe")
+        acc %= p
+    return acc
 
 
-def _mulmod(A, B, p: int):
-    """(A @ B) mod p for int64 arrays of residues mod p, exactly, by float64 matmuls."""
+def _mulmod(A, B, p: int, acc=None):
+    """(acc + A @ B) mod p for int64 arrays of residues mod p, exactly, by
+    float64 matmuls; written into acc, a fresh zero array when None."""
+    if acc is None:
+        acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     if (p - 1) ** 2 < _FLOAT_EXACT:
-        return _dot_mod(A.astype(np.float64), B.astype(np.float64), p - 1, p)
-    # p < 2**31: split both factors into 16-bit limbs, X = Xh * 2**16 + Xl.
+        return _dot_mod(A.astype(np.float64), B.astype(np.float64), p - 1, p, acc)
+    # p < 2**31: split both factors into 16-bit limbs, X = Xh * 2**16 + Xl, and
+    # take three limb products (Karatsuba), the middle one from the limb sums.
     Ah, Al = (A >> 16).astype(np.float64), (A & 0xFFFF).astype(np.float64)
     Bh, Bl = (B >> 16).astype(np.float64), (B & 0xFFFF).astype(np.float64)
-    mid = (_dot_mod(Ah, Bh, 0xFFFF, p) << 16) + _dot_mod(Ah, Bl, 0xFFFF, p) + _dot_mod(Al, Bh, 0xFFFF, p)
-    return (((mid % p) << 16) + _dot_mod(Al, Bl, 0xFFFF, p)) % p
+    hh = _dot_mod(Ah, Bh, 0xFFFF, p, np.zeros_like(acc))
+    ll = _dot_mod(Al, Bl, 0xFFFF, p, np.zeros_like(acc))
+    mid = _dot_mod(Ah + Al, Bh + Bl, 2 * 0xFFFF, p, np.zeros_like(acc)) - hh - ll
+    acc += ((((hh << 16) + mid) % p) << 16) + ll
+    acc %= p
+    return acc
 
 
 def _rref_block(C, p: int):
     """Reduced row echelon form of an int64 block of residues, in place.
 
-    Returns its nonzero rows and their pivot columns. A column that is zero
-    in every row stays zero under row operations, so only the others are
-    visited; left of its pivot, a pivot row is zero.
+    Returns its nonzero rows and their pivot columns. Pivots are sought in
+    windows of the next len(C) columns that are nonzero below the pivot rows
+    (the others are left unchanged by the row operations). The operations
+    act on [window | transform]; one matmul then applies the square transform
+    to the columns right of the window.
     """
-    r = 0
-    pivots = []
-    for col in np.flatnonzero(C.any(axis=0)):
-        if r == len(C):
+    k, r, start, pivots = len(C), 0, 0, []
+    while r < k:
+        cols = start + np.flatnonzero(C[r:, start:].any(axis=0))
+        if cols.size == 0:
             break
-        nz = np.flatnonzero(C[r:, col])
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            C[[r, pivot]] = C[[pivot, r]]
-        C[r, col:] = C[r, col:] * pow(int(C[r, col]), p - 2, p) % p
-        rest = np.flatnonzero(C[:, col])
-        rest = rest[rest != r]
-        if rest.size:
-            C[rest, col:] = (C[rest, col:] - C[rest, col, None] * C[r, col:]) % p
-        pivots.append(int(col))
-        r += 1
+        win, right, w = cols[:k], cols[k:], min(k, cols.size)
+        # the transform is carried only when there are columns to apply it to
+        S = np.concatenate((C[:, win], np.eye(k, k if right.size else 0, dtype=np.int64)), axis=1)
+        for j in range(w):
+            nz = np.flatnonzero(S[r:, j])
+            if nz.size == 0:
+                continue
+            pivot = r + int(nz[0])
+            S[[r, pivot]] = S[[pivot, r]]
+            S[r, j:] = S[r, j:] * pow(int(S[r, j]), p - 2, p) % p
+            rest = np.flatnonzero(S[:, j])
+            rest = rest[rest != r]
+            if rest.size:
+                S[rest, j:] = (S[rest, j:] - S[rest, j, None] * S[r, j:]) % p
+            pivots.append(int(win[j]))
+            r += 1
+        C[:, win] = S[:, :w]
+        if right.size:
+            C[:, right] = _mulmod(S[:, w:], C[:, right], p)
+        start = int(win[-1]) + 1
     return C[:r], pivots
 
 
@@ -264,10 +283,14 @@ def kernel(A, p: int) -> list[list[int]]:
     A may hold integers of any dtype: each block is taken to int64 mod p on
     its own, so a narrow A is never widened whole.
 
-    Rows are taken _BLOCK_ROWS at a time: a block is cleared on the pivot
-    columns found so far with one matmul, brought to reduced echelon form,
-    and its new pivot columns are cleared from the earlier rows with a second
-    matmul. Both matmuls touch only the pivots that occur in the block.
+    Rows are taken _BLOCK_ROWS at a time. The echelon rows X are kept only
+    on the active columns, those with no pivot yet (on the pivot columns
+    they are the identity). A block C is cleared by one matmul, C[:, act] -
+    C[:, piv] @ X, and brought to reduced echelon form R; its new pivots are
+    cleared from X by a second, X - X[:, new] @ R, and leave the active set.
+    Each matmul takes only the rows of X that it changes or needs. The basis
+    is read off X: its vector for active column f is 1 at f and -X[:, f]
+    at the pivots.
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -275,36 +298,41 @@ def kernel(A, p: int) -> list[list[int]]:
     nrows, ncols = A.shape
     if p * p >= 2**62:
         raise ValueError("modulus too large for the int64 elimination path")
-    # E[:r] are the echelon rows so far, E[i] with its pivot at column piv[i]:
-    # each is 1 at its own pivot and 0 at the others.
-    E = np.empty((min(nrows, ncols), ncols), dtype=np.int64)
-    piv = np.empty(ncols, dtype=np.intp)
-    r = 0
+    # X[i] is the echelon row with its pivot at column piv[i], on the active
+    # columns act (ascending); it is 1 at its own pivot and 0 at the others.
+    act = np.arange(ncols)
+    piv = np.empty(0, dtype=np.intp)
+    X = np.empty((0, ncols), dtype=np.int64)
     for start in range(0, nrows, _BLOCK_ROWS):
-        if r == ncols:
+        if act.size == 0:
             break
         C = A[start:start + _BLOCK_ROWS].astype(np.int64) % p
         C = C[C.any(axis=1)]
-        used = np.flatnonzero(C[:, piv[:r]].any(axis=0))
+        used = np.flatnonzero(C[:, piv].any(axis=0))
+        B = C[:, act]
         if used.size:
-            C = (C - _mulmod(C[:, piv[used]], E[used], p)) % p
-            C = C[C.any(axis=1)]
-        R, new = _rref_block(C, p)
+            _mulmod((p - C[:, piv[used]]) % p, X if used.size == len(X) else X[used], p, B)
+        R, new = _rref_block(B[B.any(axis=1)], p)
         if not new:
             continue
-        hit = np.flatnonzero(E[:r, new].any(axis=1))
-        if hit.size:
-            E[hit] = (E[hit] - _mulmod(E[np.ix_(hit, new)], R, p)) % p
-        E[r:r + len(new)] = R
-        piv[r:r + len(new)] = new
-        r += len(new)
-    free = np.setdiff1d(np.arange(ncols), piv[:r])
-    if free.size == 0:
+        kept = np.delete(np.arange(act.size), new)
+        Xn = np.empty((len(X) + len(new), kept.size), dtype=np.int64)
+        # mode="clip" lets take write into Xn without a buffer; kept is in range
+        np.take(X, kept, axis=1, out=Xn[:len(X)], mode="clip")
+        Xn[len(X):] = R[:, kept]
+        minus_r = (p - Xn[len(X):]) % p
+        hit = np.flatnonzero(X[:, new].any(axis=1))
+        if hit.size == len(X):
+            _mulmod(X[:, new], minus_r, p, Xn[:len(X)])
+        elif hit.size:
+            Xn[hit] = _mulmod(X[np.ix_(hit, new)], minus_r, p, Xn[hit])
+        X, piv, act = Xn, np.concatenate((piv, act[new])), act[kept]
+    if act.size == 0:
         return []
-    K = np.zeros((free.size, ncols), dtype=np.int64)
-    K[np.arange(free.size), free] = 1
-    K[:, piv[:r]] = (p - E[:r, free].T) % p
-    lead = K[np.arange(free.size), (K != 0).argmax(axis=1)]
+    K = np.zeros((act.size, ncols), dtype=np.int64)
+    K[np.arange(act.size), act] = 1
+    K[:, piv] = (p - X.T) % p
+    lead = K[np.arange(act.size), (K != 0).argmax(axis=1)]
     inv = np.array([pow(int(x), p - 2, p) for x in lead], dtype=np.int64)
     return (K * inv[:, None] % p).tolist()
 

@@ -318,12 +318,13 @@ def parse_map_spec(field: PrimeField, text: str) -> PolyMap:
 
 
 def load_support_file(path: str) -> list[tuple]:
-    """Read 1-indexed "i j" pairs, one per line; returns 0-indexed positions."""
+    """Read 1-indexed "i j" pairs, one per line; returns 0-indexed positions.
+    A '#' starts a comment that runs to the end of its line."""
     support = []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.partition("#")[0].strip()
+            if not line:
                 continue
             i, j = map(int, line.split())
             support.append((i - 1, j - 1))

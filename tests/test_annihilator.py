@@ -34,6 +34,7 @@ from rigideq import (
     TensorParams,
 )
 import rigideq.annihilator as annihilator
+from rigideq.generators import parse_map_spec
 from rigideq import cli
 from rigideq.annihilator import DEGREE_SEARCH_CAP, VerificationError, vector_to_poly
 
@@ -202,6 +203,14 @@ def _seeded_matrices(p, seed):
     zero_lines[rng.choice(80, 25, replace=False)] = 0
     zero_lines[:, rng.choice(60, 20, replace=False)] = 0
     sparse = uniform(300, 120) * (rng.random((300, 120)) < 0.02)
+    # columns 5..89 are combinations of columns 0..4: a stretch wider than a
+    # window with no pivot in it, between columns that have pivots
+    base = uniform(100, 5)
+    no_pivot_window = np.hstack((base, base.astype(object).dot(uniform(5, 85).astype(object)) % p,
+                                 uniform(100, 60))).astype(np.int64)
+    # rows 20.. are combinations of rows 0..19: later blocks clear to zero
+    top = uniform(20, 100)
+    clears = np.vstack((top, uniform(120, 20).astype(object).dot(top.astype(object)) % p)).astype(np.int64)
     return {
         "square": uniform(70, 70),
         "tall": uniform(150, 40),
@@ -209,6 +218,10 @@ def _seeded_matrices(p, seed):
         "rank-deficient": low_rank.astype(np.int64),
         "zero-rows-cols": zero_lines,
         "sparse": sparse,
+        "several-windows-and-blocks": uniform(150, 230),
+        "window-without-pivot": no_pivot_window,
+        "block-clears-to-zero": clears,
+        "full-rank-mid-block": uniform(110, 90),
     }
 
 
@@ -224,6 +237,49 @@ def test_kernel_matches_reference(p, block_rows, monkeypatch):
         assert kernel(A, p) == want, name
         # the symbolic builder's dtype: the narrowest unsigned one that holds p - 1
         assert kernel(A.astype(np.min_scalar_type(p - 1)), p) == want, name
+
+
+@pytest.mark.parametrize("name, D, cols, dim", [("rigidity(3,1,1)", 3, 220, 0), ("tensor(3,3,1)", 2, 406, 162)])
+def test_kernel_of_sampled_solver_matrices(name, D, cols, dim):
+    """The sampled matrices that the solver eliminates, dense and rank-deficient."""
+    F = PrimeField(10007)
+    pmap = parse_map_spec(F, name)
+    A, _ = composition_matrix_sampled(pmap, D, cols + annihilator.SAMPLE_MARGIN, "1:round0")
+    want = reference_kernel(A, F.p)
+    assert A.shape == (cols + annihilator.SAMPLE_MARGIN, cols) and len(want) == dim
+    assert kernel(A, F.p) == want
+
+
+def _object_product(A, B, p):
+    return A.astype(object).dot(B.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", [67108859, 2**31 - 1])
+def test_mulmod_matches_object_product(p):
+    rng = np.random.default_rng(p % 1000)
+    A, B = rng.integers(0, p, (9, 300), dtype=np.int64), rng.integers(0, p, (300, 11), dtype=np.int64)
+    acc = rng.integers(0, p, (9, 11), dtype=np.int64)
+    want = (acc.astype(object) + _object_product(A, B, p)) % p
+    assert annihilator._mulmod(A, B, p).tolist() == _object_product(A, B, p).tolist()
+    assert annihilator._mulmod(A, B, p, acc) is acc and acc.tolist() == want.tolist()
+    # every entry p - 1: the largest limbs, and a product of 1 x 1 with inner dimension 0
+    full = np.full((3, 300), p - 1, dtype=np.int64)
+    assert annihilator._mulmod(full, full.T, p).tolist() == _object_product(full, full.T, p).tolist()
+    assert annihilator._mulmod(full[:1, :0], full.T[:0, :1], p).tolist() == [[0]]
+
+
+def test_mulmod_limb_sum_chunk_boundary():
+    """At p = 2**31 - 1 the middle Karatsuba product sums limb sums below
+    2 * 0xFFFF, in chunks of k terms; one term past a chunk must stay exact.
+    So must 2**20 + 1 terms of p - 1, whose limb-sum products (98301**2,
+    odd) add up past 2**53 to an odd total that float64 cannot hold."""
+    p = 2**31 - 1
+    k = (annihilator._FLOAT_EXACT - 1) // (2 * 0xFFFF) ** 2
+    assert 2**18 < k < 2**20
+    A = np.full((1, k + 1), p - 1, dtype=np.int64)
+    assert annihilator._mulmod(A, A.T, p).tolist() == _object_product(A, A.T, p).tolist() == [[k + 1]]
+    A = np.full((1, 2**20 + 1), p - 1, dtype=np.int64)
+    assert annihilator._mulmod(A, A.T, p).tolist() == [[2**20 + 1]]  # (p - 1)**2 = 1 mod p
 
 
 # ---------------------------------------------------------------- composition matrices

@@ -302,6 +302,22 @@ def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
         assert "unreadable certificate" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: verify trusts the certificate label "
+                   "and checks Q only against the embedded map")
+def test_verify_refuses_a_map_that_is_not_its_label(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run("solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2", "--out", str(cert)) == 0
+    doc = json.loads(cert.read_text())
+    # every coordinate x1, and Q = y1 - y2: it vanishes on that map, not on rank-1 matrices
+    for coord in doc["map"]["coords"]:
+        coord["terms"] = [{"c": 1, "e": [1, 0, 0, 0]}]
+    doc["Q"]["terms"] = [{"c": 1, "e": [1, 0, 0, 0]}, {"c": 100, "e": [0, 1, 0, 0]}]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--cert", str(forged), "--trials", "5") != 0
+
+
 def test_one_parser_per_process(tmp_path, capsys):
     """The parser is built once; no call's flags or defaults reach the next,
     so every call repeats its first exit code and output bytes."""

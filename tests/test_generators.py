@@ -20,6 +20,7 @@ from rigideq import (
     tensor_map,
     tensor_witness,
 )
+from rigideq.cli import main
 from rigideq.generators import load_support_file
 from rigideq.oracle import DenseMatrix, DenseTensor, rank, tensor_rank_bruteforce
 
@@ -311,3 +312,22 @@ def test_parse_map_spec(f101, tmp_path):
         parse_map_spec(f101, "frobnicate(1)")
     with pytest.raises(ValueError):
         parse_map_spec(f101, "rank(2)")
+
+
+def test_support_file_comments(f101, tmp_path):
+    sfile = tmp_path / "support.txt"
+    sfile.write_text("# the diagonal of a 2x2\n1 1\n2 2 # diagonal\n   # indented\n\n")
+    assert load_support_file(str(sfile)) == [(0, 0), (1, 1)]
+    assert parse_map_spec(f101, f"support(2,1,{sfile})").label == "support(2,1,[1,1;2,2])"
+    # a '#' ends the pair; what stands before it must still be exactly two integers
+    sfile.write_text("1 # 1\n")
+    with pytest.raises(ValueError):
+        load_support_file(str(sfile))
+
+
+def test_genmap_support_file_with_comment(tmp_path):
+    sfile = tmp_path / "support.txt"
+    sfile.write_text("1 1\n2 2 # diagonal\n")
+    out = tmp_path / "map.json"
+    assert main(["genmap", "--map", f"support(2,1,{sfile})", "-p", "101", "--out", str(out)]) == 0
+    assert '"label":"support(2,1,[1,1;2,2])"' in out.read_text()
