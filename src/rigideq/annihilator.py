@@ -18,7 +18,9 @@ windows as wide as it is tall, with int64 row operations. A float64 sum of
 integers is exact below 2**53, so each matmul adds at most k products of
 residues with k * (p - 1)**2 < 2**53. Moduli with (p - 1)**2 >= 2**53 are
 split into 16-bit limbs, multiplied by three limb products (Karatsuba).
-Every prime p with p * p < 2**62 (up to 2**31 - 1) is supported.
+Every prime p with p * p < 2**62 (up to 2**31 - 1) is supported. That exact
+modular matmul is poly._mulmod: poly.packed_weighted_sum forms sums of
+products on shared supports with it too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeField
-from .poly import MultiPoly, PolyMap, monomial_basis, monomial_images, packed_images, poly_compose
+from .poly import MultiPoly, PolyMap, _mulmod, monomial_basis, monomial_images, packed_images, poly_compose
 
 
 class ResourceLimitError(RuntimeError):
@@ -187,7 +189,8 @@ def composition_matrix_symbolic(pmap: PolyMap, D: int):
 
 def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     """Row t holds the values of every degree-<=D monomial at P(beta_t) for a
-    seeded random beta_t; deterministic given the seed.
+    seeded random beta_t; deterministic given the seed. The matrix is the
+    transpose of one int64 array that each degree is written into in place.
     """
     p = pmap.field.p
     if p * p >= 2**63:
@@ -195,47 +198,31 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     basis = monomial_basis(pmap.out_arity, D)
     rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
     points = [[rng.randrange(p) for _ in range(pmap.in_arity)] for _ in range(rows)]
-    # values[t, i] is coordinate i of P(beta_t); a column per monomial
-    values = pmap.evaluate_many(points)
-    levels = monomial_images(basis, np.ones((rows, 1), dtype=np.int64),
-                             lambda images, parents, variables: images[:, parents] * values[:, variables] % p)
-    return np.concatenate(list(levels), axis=1), basis
+    # values[i, t] is coordinate i of P(beta_t)
+    values = np.ascontiguousarray(pmap.evaluate_many(points).T)
+    # AT[j] holds monomial j at every point, so a degree is a block of rows
+    AT = np.empty((len(basis), rows), dtype=np.int64)
+    AT[0] = 1
+    filled = 1
+
+    def level(images, parents, variables):
+        nonlocal filled
+        out, filled = AT[filled:filled + len(parents)], filled + len(parents)
+        # mode="clip" lets take write into out without a buffer; parents are in range
+        np.take(images, parents, axis=0, out=out, mode="clip")
+        # a run of equal variables at a time (they ascend), with no temporary
+        runs = np.flatnonzero(np.diff(variables, prepend=-1, append=-1))
+        for a, b in zip(runs[:-1], runs[1:]):
+            out[a:b] *= values[variables[a]]
+        out %= p
+        return out
+
+    list(monomial_images(basis, AT[:1], level))
+    return AT.T, basis
 
 
 # Rows of the input taken per block of the elimination in kernel().
 _BLOCK_ROWS = 64
-# Every integer of magnitude below 2**53 is exact in float64.
-_FLOAT_EXACT = 2**53
-
-
-def _dot_mod(A, B, bound: int, p: int, acc):
-    """acc = (acc + A @ B) mod p in place, for an int64 acc and float64 arrays
-    of integers in [0, bound]: each matmul sums at most k products with
-    k * bound**2 < 2**53, exactly."""
-    k = (_FLOAT_EXACT - 1) // (bound * bound)
-    for s in range(0, A.shape[1], k):
-        np.add(acc, A[:, s:s + k] @ B[s:s + k], out=acc, casting="unsafe")
-        acc %= p
-    return acc
-
-
-def _mulmod(A, B, p: int, acc=None):
-    """(acc + A @ B) mod p for int64 arrays of residues mod p, exactly, by
-    float64 matmuls; written into acc, a fresh zero array when None."""
-    if acc is None:
-        acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if (p - 1) ** 2 < _FLOAT_EXACT:
-        return _dot_mod(A.astype(np.float64), B.astype(np.float64), p - 1, p, acc)
-    # p < 2**31: split both factors into 16-bit limbs, X = Xh * 2**16 + Xl, and
-    # take three limb products (Karatsuba), the middle one from the limb sums.
-    Ah, Al = (A >> 16).astype(np.float64), (A & 0xFFFF).astype(np.float64)
-    Bh, Bl = (B >> 16).astype(np.float64), (B & 0xFFFF).astype(np.float64)
-    hh = _dot_mod(Ah, Bh, 0xFFFF, p, np.zeros_like(acc))
-    ll = _dot_mod(Al, Bl, 0xFFFF, p, np.zeros_like(acc))
-    mid = _dot_mod(Ah + Al, Bh + Bl, 2 * 0xFFFF, p, np.zeros_like(acc)) - hh - ll
-    acc += ((((hh << 16) + mid) % p) << 16) + ll
-    acc %= p
-    return acc
 
 
 def _rref_block(C, p: int):

@@ -17,9 +17,12 @@ add; a term product is a uint64 word holding a tag, the key and the residue
 of the product of coefficients, and one sort and one np.add.reduceat
 (_collect) sum the words with equal tag and key: products with one tag add
 into one result. packed_weighted_sum, the sum of products a_t * b_t
-(MultiPoly * MultiPoly is its one-pair call), is its single-tag call. Below
-_NUMPY_MUL_THRESHOLD term pairs per sort, or when a word would need more
-than 64 bits, term pairs are added into dicts instead.
+(MultiPoly * MultiPoly is its one-pair call), is its single-tag call unless
+its factors share supports enough for one exact modular matmul (_mulmod,
+which annihilator.kernel eliminates with too) of their coefficient matrices
+to take fewer words to _collect. Below _NUMPY_MUL_THRESHOLD term pairs per
+sort, or when a word would need more than 64 bits, term pairs are added into
+dicts instead.
 
 Every image of a monomial under a map comes from monomial_images, one degree
 at a time: _image_levels runs it with one batch of _products per degree, and
@@ -28,8 +31,8 @@ its images as {key: coefficient} dicts, so a small composition builds no
 numpy array; packed_images packs every degree in numpy arrays for the
 symbolic matrix, and poly_compose sums q's weighted images in one dict or by
 one more sort. Every evaluation of a map at points goes through
-PolyMap.evaluate_many, in numpy; MultiPoly.evaluate is the scalar evaluator
-of one polynomial.
+PolyMap.evaluate_many, in numpy, on power tables that consecutive variables
+share; MultiPoly.evaluate is the scalar evaluator of one polynomial.
 
 MultiPoly(...) validates its terms (nvars, exponents and coefficients are
 ints, exponent length and sign, coefficients reduced mod p, zeros dropped),
@@ -59,8 +62,11 @@ NEG_INF = float("-inf")
 _NUMPY_MUL_THRESHOLD = 256
 # Words sorted at once by a batch of _products (one product may take more).
 _SORT_WORDS = 1 << 17
-# Term values computed at once per coordinate by PolyMap.evaluate_many.
+# Term values computed at once by PolyMap.evaluate_many, and power table
+# entries made at once for a chunk of rows.
 _EVAL_CELLS = 1 << 20
+# Every integer of magnitude below 2**53 is exact in float64.
+_FLOAT_EXACT = 2**53
 # The one type MultiPoly(...) takes for nvars, exponents and coefficients.
 _INT = frozenset([int])
 
@@ -330,10 +336,45 @@ class _ArrayPoly(MultiPoly):
         return E, C.astype(cdtype, copy=False)
 
 
+def _dot_mod(A, B, bound: int, p: int, acc):
+    """acc = (acc + A @ B) mod p in place, for an int64 acc and float64 arrays
+    of integers in [0, bound]: each matmul sums at most k products with
+    k * bound**2 < 2**53, exactly."""
+    k = (_FLOAT_EXACT - 1) // (bound * bound)
+    for s in range(0, A.shape[1], k):
+        np.add(acc, A[:, s:s + k] @ B[s:s + k], out=acc, casting="unsafe")
+        acc %= p
+    return acc
+
+
+def _mulmod(A, B, p: int, acc=None):
+    """(acc + A @ B) mod p for int64 arrays of residues mod p, exactly, by
+    float64 matmuls; written into acc, a fresh zero array when None."""
+    if acc is None:
+        acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    if (p - 1) ** 2 < _FLOAT_EXACT:
+        return _dot_mod(A.astype(np.float64), B.astype(np.float64), p - 1, p, acc)
+    # p < 2**31: split both factors into 16-bit limbs, X = Xh * 2**16 + Xl, and
+    # take three limb products (Karatsuba), the middle one from the limb sums.
+    Ah, Al = (A >> 16).astype(np.float64), (A & 0xFFFF).astype(np.float64)
+    Bh, Bl = (B >> 16).astype(np.float64), (B & 0xFFFF).astype(np.float64)
+    hh = _dot_mod(Ah, Bh, 0xFFFF, p, np.zeros_like(acc))
+    ll = _dot_mod(Al, Bl, 0xFFFF, p, np.zeros_like(acc))
+    mid = _dot_mod(Ah + Al, Bh + Bl, 2 * 0xFFFF, p, np.zeros_like(acc)) - hh - ll
+    acc += ((((hh << 16) + mid) % p) << 16) + ll
+    acc %= p
+    return acc
+
+
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
-    """Sum of the products a_t * b_t of polynomials: both sides packed with
-    keys wide enough for every product, then one batch of _products in which
-    every product has tag 0."""
+    """Sum of the products a_t * b_t, both sides packed with keys wide enough
+    for every product: sum (A^T B)[alpha, beta] * x^(alpha + beta) over the
+    unions SA and SB of the supports of the a_t and b_t, where row t of A
+    and B holds the coefficients of a_t and b_t. When the words fit, there
+    are at least _NUMPY_MUL_THRESHOLD term pairs and |SA| * |SB| is fewer,
+    one _mulmod forms A^T B and one _collect sums its nonzero entries (some
+    a_t * b_t has alpha + beta, so it fits the keys). Otherwise it is one
+    batch of _products in which every product has tag 0."""
     pairs = [(a, b) for a, b in pairs if a and b]
     if not pairs:
         return MultiPoly._trusted(field, nvars, {})
@@ -344,10 +385,32 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
     # adding since exponents may be stored in uint8
     bound = np.maximum.reduceat(EA, OA[:-1]).astype(np.int64) + np.maximum.reduceat(EB, OB[:-1]).astype(np.int64)
     layout = _Layout(field.p, bound.max(axis=0, initial=0).tolist())
+    left, right = _Packed(layout.keys(EA), CA, OA), _Packed(layout.keys(EB), CB, OB)
+    total = sum(len(a) * len(b) for a, b in pairs)
+    # |SA| * |SB| >= max |a_t| * max |b_t|, so one pair never takes the matmul
+    most = max(len(a) for a, _ in pairs) * max(len(b) for _, b in pairs)
+    if layout.fits and _NUMPY_MUL_THRESHOLD <= total and most < total:
+        (SA, A), (SB, B) = _support_matrix(left), _support_matrix(right)
+        if len(SA) * len(SB) < total:
+            M = _mulmod(A.T, B, field.p)
+            nonzero = M != 0
+            # key sums of zero entries may carry between fields; they are dropped
+            keys = (SA[:, None] + SB)[nonzero]
+            words = (keys << np.uint64(layout.vbits)) | M[nonzero].view(np.uint64)
+            return layout.unpack(*_collect(words, layout), field, nvars)
     index = range(len(pairs))
-    sums = _products(_Packed(layout.keys(EA), CA, OA), _Packed(layout.keys(EB), CB, OB), index, index, layout, [0] * len(pairs))
+    sums = _products(left, right, index, index, layout, [0] * len(pairs))
     keys, coeffs = (sums.keys, sums.coeffs) if isinstance(sums, _Packed) else (list(sums[0]), list(sums[0].values()))
     return layout.unpack(keys, coeffs, field, nvars)
+
+
+def _support_matrix(polys: "_Packed") -> tuple[np.ndarray, np.ndarray]:
+    """(S, M): the union of the supports of packed polynomials, ascending,
+    and the j-th's coefficients at those keys in row j of M."""
+    S, column = np.unique(polys.keys, return_inverse=True)
+    M = np.zeros((len(polys.offsets) - 1, len(S)), dtype=np.int64)
+    M[np.repeat(np.arange(len(M)), np.diff(polys.offsets)), column] = polys.coeffs
+    return S, M
 
 
 class _Packed(NamedTuple):
@@ -573,10 +636,13 @@ class PolyMap:
         """(R, N) array whose row t holds every coordinate at points[t].
 
         Entries are residues mod p: int64 while the products and sums below
-        fit in int64, else Python ints in an object array. Each term's
-        value is its coefficient times one power-table entry per variable it
-        uses, reduced mod p after every product; rows are taken in chunks of
-        at most _EVAL_CELLS term values per coordinate.
+        fit in int64, else Python ints in an object array. All terms are
+        evaluated together, in chunks of rows of at most _EVAL_CELLS values.
+        Consecutive variables share one power table, indexed mixed-radix (the
+        last variable fastest), while it has at most one entry per term and
+        _EVAL_CELLS per chunk. A term's value is its coefficient times one
+        entry of each table, reduced mod p only where a product or the sum of
+        a coordinate's values could otherwise leave int64.
         """
         p, m = self.field.p, self.in_arity
         longest = max(map(len, self.coordinates), default=0)
@@ -589,30 +655,44 @@ class PolyMap:
                 raise ValueError(f"arity mismatch: point of length {len(point)}, in_arity={m}")
             rows.append([v % p for v in point])
         X = np.array(rows, dtype=dtype).reshape(len(rows), m)
-        # per coordinate: its exponents (terms x m), coefficients, and the
-        # variables it uses; top[i] is the largest exponent of variable i
-        coords = []
-        top = np.zeros(m, dtype=np.intp)
-        for q in self.coordinates:
-            E, C = q._term_arrays(dtype)
-            coords.append((E, C, np.flatnonzero(E.any(axis=0))))
-            top = np.maximum(top, E.max(axis=0, initial=0))
+        if not self.coordinates:
+            return np.zeros((len(X), 0), dtype=dtype)
+        # every coordinate's terms in one array, coordinate j's in columns
+        # offsets[j]:offsets[j + 1]; a row of exponents per variable
+        E, C, offsets = _stack(self.coordinates, dtype)
+        E = np.ascontiguousarray(E.T)
+        top = E.max(axis=1, initial=0).tolist()  # the largest exponent of each variable
+        step = max(1, _EVAL_CELLS // max(len(C), 1))
+        # a table holds at most as many entries per row as there are terms,
+        # and at most _EVAL_CELLS in a chunk of rows
+        most = min(len(C), _EVAL_CELLS // max(1, min(len(X), step)))
+        groups, index = [], []  # the variables of each table, its entry for each term
+        for i in range(m):
+            if not groups or math.prod(top[j] + 1 for j in groups[-1]) * (top[i] + 1) > most:
+                groups.append([])
+                index.append(np.zeros(len(C), dtype=np.intp))
+            groups[-1].append(i)
+            index[-1] *= top[i] + 1
+            index[-1] += E[i]
+        # values stay below cap, so that a sum of `longest` of them fits int64
+        cap = (2**63 - 1) // max(longest, 1)
+        nonempty = np.flatnonzero(np.diff(offsets))
         out = np.zeros((len(X), self.out_arity), dtype=dtype)
-        step = max(1, _EVAL_CELLS // max(longest, 1))
         for start in range(0, len(X), step):
             x = X[start:start + step]
-            # pows[i][t, k] = x[t, i]**k mod p
-            pows = []
-            for i in range(m):
-                table = np.ones((len(x), int(top[i]) + 1), dtype=dtype)
-                for k in range(1, table.shape[1]):
-                    table[:, k] = table[:, k - 1] * x[:, i] % p
-                pows.append(table)
-            for j, (E, C, used) in enumerate(coords):
-                values = np.broadcast_to(C, (len(x), len(C)))
-                for i in used:
-                    values = values * pows[i][:, E[:, i]] % p
-                out[start:start + step, j] = values.sum(axis=1) % p
+            values, bound = np.broadcast_to(C, (len(x), len(C))), p - 1
+            for variables, entry in zip(groups, index):
+                # table[t, entry] = prod of x[t, i]**e_i mod p over the variables
+                table = np.ones((len(x), 1), dtype=dtype)
+                for i in variables:
+                    powers = np.ones((len(x), top[i] + 1), dtype=dtype)
+                    for k in range(1, top[i] + 1):
+                        powers[:, k] = powers[:, k - 1] * x[:, i] % p
+                    table = (table[:, :, None] * powers[:, None, :]).reshape(len(x), -1) % p
+                values, bound = values * table[:, entry], bound * (p - 1)
+                if bound * (p - 1) > cap:
+                    values, bound = values % p, p - 1
+            out[start:start + step, nonempty] = np.add.reduceat(values, offsets[nonempty], axis=1) % p
         return out
 
     def to_json_dict(self) -> dict:

@@ -274,7 +274,7 @@ def test_mulmod_limb_sum_chunk_boundary():
     So must 2**20 + 1 terms of p - 1, whose limb-sum products (98301**2,
     odd) add up past 2**53 to an odd total that float64 cannot hold."""
     p = 2**31 - 1
-    k = (annihilator._FLOAT_EXACT - 1) // (2 * 0xFFFF) ** 2
+    k = (poly._FLOAT_EXACT - 1) // (2 * 0xFFFF) ** 2
     assert 2**18 < k < 2**20
     A = np.full((1, k + 1), p - 1, dtype=np.int64)
     assert annihilator._mulmod(A, A.T, p).tolist() == _object_product(A, A.T, p).tolist() == [[k + 1]]

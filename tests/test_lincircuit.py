@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import rigideq.lincircuit as lc
+import rigideq.poly as poly
 from rigideq import (
     LinearCircuit,
     MultiPoly,
@@ -138,16 +139,50 @@ def test_universal_map_degree_check_raises(f101, monkeypatch):
         universal_map(universal_graph(f101, 1, 1, L=1, w=1))
 
 
-# sha256 of json.dumps(universal_map(g).to_json_dict(), sort_keys=True) at
-# p = 101, as computed before products were born from arrays: the term dicts
-# built from the arrays hold exactly the terms that were built directly
-@pytest.mark.parametrize("n, s, L, w, digest", [
-    (2, 2, 2, 2, "d9b55b887537cc4872e1e789dd7b462f47f6e9ae5514a2eb5fc564a2d56d27ed"),
-    (2, 3, 2, 2, "0ba58b21826fa1cd14e00b957257cc88f660cb30c19e686d346619017ce5adb9"),
-], ids=["2,2,2,2", "2,3,2,2"])
-def test_universal_map_bytes(f101, n, s, L, w, digest):
-    doc = universal_map(universal_graph(f101, n, s, L=L, w=w)).to_json_dict()
+# sha256 of json.dumps(universal_map(g).to_json_dict(), sort_keys=True): at
+# p = 101 as computed before products were born from arrays (the term dicts
+# built from the arrays hold exactly the terms that were built directly), and
+# at p = 2**31 - 1, whose sums of products take the matmul's 16-bit limbs, as
+# computed before sums were made from one coefficient matmul
+@pytest.mark.parametrize("p, n, s, L, w, digest", [
+    (101, 2, 2, 2, 2, "d9b55b887537cc4872e1e789dd7b462f47f6e9ae5514a2eb5fc564a2d56d27ed"),
+    (101, 2, 3, 2, 2, "0ba58b21826fa1cd14e00b957257cc88f660cb30c19e686d346619017ce5adb9"),
+    (2**31 - 1, 2, 2, 2, 2, "7290df8649470160dfd576ab78b43394c52ac923a10f79f0bf2c70cf9ebc6036"),
+], ids=["2,2,2,2", "2,3,2,2", "2,2,2,2-p31"])
+def test_universal_map_bytes(p, n, s, L, w, digest):
+    doc = universal_map(universal_graph(PrimeField(p), n, s, L=L, w=w)).to_json_dict()
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_universal_map_sums_through_one_matmul(f101, monkeypatch):
+    """The edge labels of the universal graph share one support, so each sum
+    of label products from the threshold on is one coefficient matmul, and
+    fewer words reach the sort than there are term pairs."""
+    matmuls, words, pairs = [], [], []
+    real_mulmod, real_collect, real_sum = poly._mulmod, poly._collect, lc.packed_weighted_sum
+
+    def mulmod(A, B, p, acc=None):
+        matmuls.append(A.shape[1])
+        return real_mulmod(A, B, p, acc)
+
+    def collect(w, layout):
+        words.append(len(w))
+        return real_collect(w, layout)
+
+    def weighted_sum(terms, field, nvars):
+        terms = list(terms)
+        pairs.append(sum(len(a) * len(b) for a, b in terms))
+        return real_sum(terms, field, nvars)
+
+    monkeypatch.setattr(poly, "_mulmod", mulmod)
+    monkeypatch.setattr(poly, "_collect", collect)
+    monkeypatch.setattr(lc, "packed_weighted_sum", weighted_sum)
+    universal_map(universal_graph(f101, 2, 3, L=2, w=2))
+    # layer 1 sums two products below the threshold, in dicts; layers 2 and
+    # 3 sum 3 and 5 nonzero products, each sum in one matmul
+    big = [t for t in pairs if t >= poly._NUMPY_MUL_THRESHOLD]
+    assert sorted(matmuls) == [3] * 4 + [5] * 4 and len(words) == len(big) == 8
+    assert sum(words) < sum(big) // 2, (words, big)
 
 
 def test_universal_map_builds_no_term_dicts(f101, monkeypatch):

@@ -202,7 +202,35 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     for x, packed in ((a, True), (MultiPoly(f101, 4, dict(list(a.terms.items())[:few])), False)):
         sort_calls.clear()
         assert packed_weighted_sum([(x, b), (x, -b), (-x, b), (x, b)], f101, 4).is_zero()
-        assert bool(sort_calls) == packed
+        # above the threshold the sides share their supports: one matmul,
+        # whose entries all cancel, so no word reaches the sort
+        assert sort_calls == ([0] if packed else [])
+
+    def on(support, field, coeff=None):
+        return MultiPoly(field, len(support[0]), {e: coeff or rng.randrange(1, field.p) for e in support})
+
+    # every a_t on one support and every b_t on another, as the edge labels
+    # of the universal map: from the threshold on, one coefficient matmul,
+    # and at most |SA| * |SB| words reach the one sort; below it, dicts
+    SA, SB = (list(_dense_poly(rng, f101, 3, 12, 5).terms) for _ in range(2))
+    pairs = [(on(SA, f101), on(SB, f101)) for _ in range(4)]
+    assert 4 * 12 * 12 >= T
+    check(pairs, f101, 3, packed=True)
+    assert len(sort_calls) == 1 and sort_calls[0] <= 12 * 12
+    assert 2 * 8 * 8 < T
+    check([(on(SA[:8], f101), on(SB[:8], f101)) for _ in range(2)], f101, 3, packed=False)
+
+    # disjoint supports: a1 and b2 reach x1**12, a2 and b1 only x1**3, so the
+    # keys hold x1 up to 12 + 3 = 15 while a1's x1**12 times b2's x1**12 is
+    # x1**24. That entry of A^T B is zero (no pair holds both), and only the
+    # 2 * 16 * 16 nonzero entries may be packed.
+    low = list(itertools.product(range(4), repeat=2))
+    high = [(e + 9, f) for e, f in low]
+    a1, b1, a2, b2 = on(high, f101), on(low, f101), on(low, f101), on(high, f101)
+    pairs = [(a1, b1), (a2, b2)] * 3
+    assert 32 * 32 < 6 * 16 * 16
+    check(pairs, f101, 2, packed=True)
+    assert sort_calls == [2 * 16 * 16]
 
     # 65 variables need at least 65 key bits: above the threshold the sum
     # must still take the dict branch
@@ -216,6 +244,12 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     pairs = [(_dense_poly(rng, big_p, 3, 160, 9, coeff=big_p.p - 1),
               _dense_poly(rng, big_p, 3, 160, 9, coeff=big_p.p - 1)) for _ in range(2)]
     check(pairs, big_p, 3, packed=True)
+    # and on shared supports, through the matmul's 16-bit limbs: five
+    # products of all-(p - 1) polynomials, then random coefficients
+    SA, SB = (list(_dense_poly(rng, big_p, 3, 40, 9).terms) for _ in range(2))
+    for coeff in (big_p.p - 1, None):
+        check([(on(SA, big_p, coeff), on(SB, big_p, coeff)) for _ in range(5)], big_p, 3, packed=True)
+        assert len(sort_calls) == 1 and sort_calls[0] <= 40 * 40
     # 12 variables of 5 key bits each fit in 64 bits, but not beside a
     # 31-bit residue: the dict branch takes over
     pairs = [(_dense_poly(rng, big_p, 12, 160, 9), _dense_poly(rng, big_p, 12, 160, 9)) for _ in range(2)]
@@ -560,6 +594,33 @@ def test_evaluate_many_matches_scalar():
     points = [[rng.randrange(101) for _ in range(pmap.in_arity)] for _ in range(25)]
     assert pmap.evaluate_many(points).tolist() == _scalar_values(pmap, points)
     assert pmap.evaluate(points[0]) == _scalar_values(pmap, points[:1])[0]
+
+
+@pytest.mark.parametrize("cells", [None, 200, 50, 7])
+def test_evaluate_many_grouped_tables(cells, monkeypatch):
+    """Consecutive variables share one power table while it has at most as
+    many entries per row as the map has terms, and at most _EVAL_CELLS in a
+    chunk of rows. Two maps of 3 x 30 terms: six variables with exponents up
+    to 5 (at most two to a table) and eight multilinear ones (at most six).
+    At the default budget the terms bound the tables; 200 cells make chunks
+    of two rows, which 7 points cross, and 100 entries a row; 50 cells make
+    one row a chunk and 50 entries; 7 leave each variable of the first map a
+    table of its own. Every value must equal MultiPoly.evaluate, in int64
+    (at p = 101 every product of residues is summed unreduced, at larger p
+    some are reduced first) and in Python ints."""
+    if cells is not None:
+        monkeypatch.setattr(poly, "_EVAL_CELLS", cells)
+    rng = random.Random(f"poly:grouped:{cells}")
+    for p in (101, 10007, 2**31 - 1, 2**32 + 15):
+        field = PrimeField(p)
+        for m, top in ((6, 5), (8, 1)):
+            coords = [_dense_poly(rng, field, m, 30, top) for _ in range(3)]
+            coords.insert(1, MultiPoly.zero(field, m))
+            pmap = PolyMap(field, m, tuple(coords))
+            points = [[rng.randrange(p) for _ in range(m)] for _ in range(7)]
+            values = pmap.evaluate_many(points)
+            assert values.dtype == (object if p > 2**32 else np.int64)
+            assert values.tolist() == _scalar_values(pmap, points)
 
 
 # ---------------------------------------------------------------- bases
