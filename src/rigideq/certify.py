@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .annihilator import AnnihilatorCertificate
-from .generators import RigidityParams, rigidity_map
-from .lincircuit import universal_graph, universal_map
+from .generators import map_spec, parse_map_spec
 from .oracle import DenseMatrix
 from .poly import MultiPoly, PolyMap, poly_compose
 
@@ -72,22 +70,25 @@ def verify_pit(q: MultiPoly, pmap: PolyMap, trials: int, seed) -> tuple[bool, Pi
     return True, report
 
 
-_RIGIDITY_LABEL = re.compile(r"^rigidity\((\d+),(\d+),(\d+)\)$")
-_UNIVERSAL_LABEL = re.compile(r"^universal\((\d+),(\d+),(\d+),(\d+)\)$")
-
-
 class UnverifiedCertificateError(ValueError):
     pass
 
 
-def _require_labelled_map(cert: AnnihilatorCertificate, kind: str, build):
-    """Refuse a certificate whose embedded map is not build(), the map its label names."""
+def bind_label(cert: AnnihilatorCertificate) -> tuple[str, tuple] | None:
+    """(name, arguments) of the map the certificate's label names, None for a
+    label outside parse_map_spec's grammar. The label is the claim, so refuse
+    a label that names no map, or a map other than the embedded one; PolyMap
+    equality includes the label, so a respelling (rank( 2,1)) is refused too."""
+    spec = map_spec(cert.label)
+    if spec is None:
+        return None
     try:
-        expected = build()
+        rebuilt = parse_map_spec(cert.pmap.field, cert.label)
     except ValueError as exc:
-        raise UnverifiedCertificateError(f"label {cert.label!r} names no {kind} map: {exc}") from exc
-    if cert.pmap != expected:
+        raise UnverifiedCertificateError(f"label {cert.label!r} names no {spec[0]} map: {exc}") from exc
+    if cert.pmap != rebuilt:
         raise UnverifiedCertificateError(f"embedded map is not the {cert.label} map")
+    return spec
 
 
 def _require_verified(cert: AnnihilatorCertificate):
@@ -130,26 +131,28 @@ class RigidityCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate):
-    """RigidityCertificate when Q(M) != 0, else None ("not certified").
-
-    The label's (n, r, k) is what gets certified, so the embedded map must be
-    exactly the rigidity map that label names.
-    """
-    m = _RIGIDITY_LABEL.match(cert.label)
-    if not m:
-        raise ValueError(f"certificate is not for a rigidity map: label {cert.label!r}")
-    n, r, k = map(int, m.groups())
-    _require_labelled_map(cert, "rigidity", lambda: rigidity_map(RigidityParams(cert.pmap.field, n, r, k)))
+def _labelled_value(matrix: DenseMatrix, cert: AnnihilatorCertificate, name: str):
+    """The label's arguments, which are what gets certified, and Q(M), once
+    the label binds a `name` map, Q o P = 0 holds here and M is an n x n
+    matrix over the certificate's field."""
+    spec = bind_label(cert)
+    if spec is None or spec[0] != name:
+        raise ValueError(f"certificate is not for a {name} map: label {cert.label!r}")
     _require_verified(cert)
+    n = spec[1][0]
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")
     if (matrix.rows, matrix.cols) != (n, n):
         raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, certificate expects {n}x{n}")
-    value = cert.q.evaluate(matrix.entries)
-    if value == 0:
-        return None
-    return RigidityCertificate(n, r, k, matrix.field.p, matrix, cert, value)
+    # universal_map coordinates are row-major over (input i, output j)
+    entries = matrix.entries if name == "rigidity" else [matrix.get(j, i) for i in range(n) for j in range(n)]
+    return spec[1], cert.q.evaluate(entries)
+
+
+def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate):
+    """RigidityCertificate when Q(M) != 0, else None ("not certified")."""
+    (n, r, k), value = _labelled_value(matrix, cert, "rigidity")
+    return RigidityCertificate(n, r, k, matrix.field.p, matrix, cert, value) if value else None
 
 
 @dataclass(frozen=True)
@@ -185,19 +188,5 @@ class CircuitLowerBoundCertificate:
 
 def certify_circuit_lower_bound(matrix: DenseMatrix, cert: AnnihilatorCertificate):
     """Certificate when Q(M) != 0, recording the exact excluded budget."""
-    m = _UNIVERSAL_LABEL.match(cert.label)
-    if not m:
-        raise ValueError(f"certificate is not for a universal circuit map: label {cert.label!r}")
-    n, s_budget, L, w = map(int, m.groups())
-    _require_labelled_map(cert, "universal", lambda: universal_map(universal_graph(cert.pmap.field, n, s_budget, L, w)))
-    _require_verified(cert)
-    if matrix.field != cert.pmap.field:
-        raise ValueError("matrix and certificate over different fields")
-    if (matrix.rows, matrix.cols) != (n, n):
-        raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, certificate expects {n}x{n}")
-    # universal_map coordinates are row-major over (input i, output j)
-    flat = [matrix.get(j, i) for i in range(n) for j in range(n)]
-    value = cert.q.evaluate(flat)
-    if value == 0:
-        return None
-    return CircuitLowerBoundCertificate(n, s_budget, L, w, matrix.field.p, matrix, cert, value)
+    (n, s_budget, L, w), value = _labelled_value(matrix, cert, "universal")
+    return CircuitLowerBoundCertificate(n, s_budget, L, w, matrix.field.p, matrix, cert, value) if value else None

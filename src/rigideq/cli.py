@@ -21,6 +21,7 @@ from .annihilator import (
     find_annihilator,
 )
 from .certify import (
+    bind_label,
     certify_circuit_lower_bound,
     certify_rigid,
     verify_pit,
@@ -28,7 +29,7 @@ from .certify import (
     UnverifiedCertificateError,
 )
 from .field import PrimeField
-from .generators import parse_map_spec
+from .generators import map_spec, parse_map_spec
 from .oracle import (
     OracleCostError,
     is_rigid_bruteforce,
@@ -52,7 +53,11 @@ def _load_map(args) -> PolyMap:
         return parse_map_spec(PrimeField(args.prime), args.map)
     if args.infile:
         with open(args.infile) as fh:
-            pmap = PolyMap.from_json_dict(json.load(fh))
+            doc = json.load(fh)
+        try:
+            pmap = PolyMap.from_json_dict(doc)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"unreadable map file: {exc!r}") from exc
         if args.prime and pmap.field.p != args.prime:
             raise ValueError(f"map file has p={pmap.field.p}, --prime says {args.prime}")
         return pmap
@@ -111,12 +116,11 @@ def cmd_certify(args) -> int:
     cert = _load_cert(args.cert)
     with open(args.infile) as fh:
         matrix = parse_matrix(fh.read())
-    if cert.label.startswith("rigidity("):
-        result = certify_rigid(matrix, cert)
-        kind = "rigidity"
-    elif cert.label.startswith("universal("):
-        result = certify_circuit_lower_bound(matrix, cert)
-        kind = "circuit lower bound"
+    name = (map_spec(cert.label) or ("",))[0]
+    if name == "rigidity":
+        result, kind = certify_rigid(matrix, cert), "rigidity"
+    elif name == "universal":
+        result, kind = certify_circuit_lower_bound(matrix, cert), "circuit lower bound"
     else:
         print(f"cannot certify with a {cert.label} annihilator", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -130,6 +134,7 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = _load_cert(args.cert)
+    checked = bind_label(cert) is not None
     if cert.q.is_zero():
         print("verification failed: Q is zero", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -143,7 +148,8 @@ def cmd_verify(args) -> int:
     if not ok:
         print("verification failed: nonzero PIT evaluation", file=sys.stderr)
         return EXIT_VERIFICATION
-    print(f"certificate for {cert.label} verified (D={cert.degree})", file=sys.stderr)
+    unchecked = "" if checked else f"; the label {cert.label!r} is not in the map grammar and was not checked"
+    print(f"certificate for {cert.label} verified (D={cert.degree}){unchecked}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_map_args(sp):
         sp.add_argument("--prime", "-p", type=int, default=None, help="field modulus")
-        sp.add_argument("--map", help="map spec: rank(n,r) | rigidity(n,r,k) | support(n,r,S-file) | tensor(n,d,r) | sv(N,k)")
+        sp.add_argument("--map", help="map spec: rank(n,r) | rigidity(n,r,k) | support(n,r,[i,j;...]) | tensor(n,d,r) | sv(N,k) | universal(n,s,L,w)")
         sp.add_argument("--in", dest="infile", help="serialized map JSON file")
 
     sp = sub.add_parser("genmap", help="construct a universal map and serialize it")

@@ -188,6 +188,8 @@ def fixed_support_map(field: PrimeField, n: int, r: int, support: Sequence[tuple
     variables. Support variables follow the u, v blocks in sorted row-major
     order of their positions.
     """
+    if n < 1 or r < 0:
+        raise ValueError(f"need n >= 1 and r >= 0, got n={n}, r={r}")
     support = [tuple(s) for s in support]
     if len(set(support)) != len(support):
         raise ValueError("duplicate positions in support")
@@ -283,55 +285,53 @@ def tensor_witness(params: TensorParams, vectors: Sequence[Sequence[Sequence[int
     return tuple(beta)
 
 
-_SPEC_RE = re.compile(r"^\s*(rank|rigidity|support|tensor|sv)\s*\((.*)\)\s*$")
+_SPEC_RE = re.compile(r"\s*(rank|rigidity|support|tensor|sv|universal)\s*\(([^[\]]*?)(?:,\s*\[([^[\]]*)\])?\s*\)\s*")
+_ARITY = {"rank": 2, "rigidity": 3, "support": 2, "tensor": 3, "sv": 2, "universal": 4}
+
+
+def map_spec(text: str) -> tuple[str, tuple] | None:
+    """(name, arguments) of a label in the grammar of parse_map_spec, or None
+    for any other text. Only support takes a bracketed list; its arguments
+    are n, r and the listed positions, 0-indexed."""
+    m = _SPEC_RE.fullmatch(text)
+    if not m or (m[1] == "support") == (m[3] is None):
+        return None
+    name, listed = m[1], m[3] or ""
+    try:
+        args = tuple(int(a) for a in m[2].split(","))
+        pairs = [pair.split(",") for pair in listed.split(";")] if listed.strip() else []
+        positions = [(int(i) - 1, int(j) - 1) for i, j in pairs]
+    except ValueError:  # a word that is not an integer, or a pair that is not two
+        return None
+    if len(args) != _ARITY[name]:
+        return None
+    return name, args + ((positions,) if name == "support" else ())
 
 
 def parse_map_spec(field: PrimeField, text: str) -> PolyMap:
-    """Build a map from its label grammar:
+    """Build a map from its label grammar, reading no files:
 
-    rank(n,r) | rigidity(n,r,k) | support(n,r,S-file) | tensor(n,d,r) | sv(N,k)
+    rank(n,r) | rigidity(n,r,k) | support(n,r,[i,j;...]) | tensor(n,d,r)
+    | sv(N,k) | universal(n,s,L,w)
 
-    The support S-file holds one 1-indexed "i j" pair per line.
+    support's positions are 1-indexed; universal(n,s,L,w) is the universal
+    circuit map on n x n matrices with size budget s, depth L and width w.
+    Every builder writes a label that builds its map back.
     """
-    m = _SPEC_RE.match(text)
-    if not m:
+    spec = map_spec(text)
+    if spec is None:
         raise ValueError(f"cannot parse map spec {text!r}")
-    name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+    name, args = spec
     if name == "rank":
-        n, r = _ints(args, 2, text)
-        return rank_map(field, n, r)
+        return rank_map(field, *args)
     if name == "rigidity":
-        n, r, k = _ints(args, 3, text)
-        return rigidity_map(RigidityParams(field, n, r, k))
+        return rigidity_map(RigidityParams(field, *args))
+    if name == "support":
+        return fixed_support_map(field, *args)
     if name == "tensor":
-        n, d, r = _ints(args, 3, text)
-        return tensor_map(TensorParams(field, n, d, r))
+        return tensor_map(TensorParams(field, *args))
     if name == "sv":
-        N, k = _ints(args, 2, text)
-        return sv_map(SVParams(field, N, k))
-    # support(n, r, path)
-    if len(args) != 3:
-        raise ValueError(f"support spec needs (n, r, S-file): {text!r}")
-    n, r = int(args[0]), int(args[1])
-    support = load_support_file(args[2])
-    return fixed_support_map(field, n, r, support)
+        return sv_map(SVParams(field, *args))
+    from .lincircuit import universal_graph, universal_map  # lincircuit imports this module
 
-
-def load_support_file(path: str) -> list[tuple]:
-    """Read 1-indexed "i j" pairs, one per line; returns 0-indexed positions.
-    A '#' starts a comment that runs to the end of its line."""
-    support = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.partition("#")[0].strip()
-            if not line:
-                continue
-            i, j = map(int, line.split())
-            support.append((i - 1, j - 1))
-    return support
-
-
-def _ints(args, count, text):
-    if len(args) != count:
-        raise ValueError(f"expected {count} integer arguments in {text!r}")
-    return tuple(int(a) for a in args)
+    return universal_map(universal_graph(field, *args))

@@ -707,10 +707,10 @@ class PolyMap:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PolyMap":
         field = PrimeField(doc["p"])
-        if type(doc["m"]) is not int or type(doc["N"]) is not int:
-            raise TypeError(f"map arities must be ints: m={doc['m']!r}, N={doc['N']!r}")
+        if type(doc["m"]) is not int or type(doc["N"]) is not int or type(doc["label"]) is not str:
+            raise TypeError(f"need int arities and a str label: m={doc['m']!r}, N={doc['N']!r}, label={doc['label']!r}")
         coords = tuple(MultiPoly.from_json_dict(c) for c in doc["coords"])
-        pmap = cls(field, doc["m"], coords, doc.get("label", ""))
+        pmap = cls(field, doc["m"], coords, doc["label"])
         if pmap.out_arity != doc["N"]:
             raise ValueError("inconsistent coordinate count in serialized map")
         return pmap

@@ -1,13 +1,16 @@
 import builtins
+import copy
 import hashlib
 import json
 import os
+import random
 import threading
 
 import pytest
 
 from rigideq import AnnihilatorCertificate, PolyMap, PrimeField, determinant_poly
 from rigideq.annihilator import MAX_RESAMPLE_ROUNDS
+from rigideq.certify import verify_symbolic
 from rigideq.cli import build_parser, main
 
 
@@ -49,6 +52,20 @@ def test_genmap_round_trip(tmp_path):
     again = tmp_path / "again.json"
     assert run("genmap", "--in", str(out), "--out", str(again)) == 0
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_genmap_refuses_an_unreadable_map_file(tmp_path, capsys):
+    # a map with no label used to read as "", and these used to raise
+    out = tmp_path / "map.json"
+    assert run("genmap", "--map", "rank(2,1)", "-p", "101", "--out", str(out)) == 0
+    for key, value in (("label", None), ("label", 5), ("m", 4.0)):
+        doc = json.loads(out.read_text())
+        doc.pop(key) if value is None else doc.update({key: value})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("genmap", "--in", str(bad)) == 64
+        assert "unreadable map file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- solve
@@ -302,20 +319,144 @@ def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
         assert "unreadable certificate" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: verify trusts the certificate label "
-                   "and checks Q only against the embedded map")
+def _solved(tmp_path, spec, p, dmax, *flags):
+    path = tmp_path / f"{spec}.json"
+    assert run("solve", "--map", spec, "-p", str(p), "--dmax", str(dmax), *flags, "--out", str(path)) == 0
+    return json.loads(path.read_text())
+
+
+def _structural_forgeries(tmp_path):
+    """Certificates whose Q annihilates their embedded map, which is not the
+    map their label names: only binding the label refuses them. The first is
+    rank(2,1) with every coordinate x1 and Q = y1 - y2, which vanishes on
+    that map and not on rank-1 matrices; the rest forge rigidity(2,1,0)."""
+    rng = random.Random("cli:structural-forgeries")
+    rank = _solved(tmp_path, "rank(2,1)", 101, 2)
+    rigidity = _solved(tmp_path, "rigidity(2,1,0)", 101, 2)
+    y1_minus_y2 = [{"c": 1, "e": [1, 0, 0, 0]}, {"c": 100, "e": [0, 1, 0, 0]}]
+    forgeries = {}
+
+    def forge(name, base, **fields):
+        doc = copy.deepcopy(base)
+        for key, value in fields.items():
+            if key == "label":
+                doc["label"] = doc["map"]["label"] = value
+            elif key == "Q_terms":
+                doc["Q"]["terms"] = value
+            else:
+                doc["map"][key] = value
+        forgeries[name] = doc
+
+    forge("rank-all-x1", rank, coords=[{"nvars": 4, "p": 101, "terms": [{"c": 1, "e": [1, 0, 0, 0]}]}] * 4,
+          Q_terms=y1_minus_y2)
+    forge("all-equal", rigidity, coords=rigidity["map"]["coords"][:1] * 4, Q_terms=y1_minus_y2)
+    # P'_i = P_perm[i], and Q's exponents follow: Q'(P') = Q(P) = 0
+    perm = list(range(4))
+    while perm == sorted(perm):
+        rng.shuffle(perm)
+    forge("permuted", rigidity, coords=[rigidity["map"]["coords"][i] for i in perm],
+          Q_terms=[{"c": t["c"], "e": [t["e"][i] for i in perm]} for t in rigidity["Q"]["terms"]])
+    forge("foreign-map", _solved(tmp_path, "sv(4,1)", 101, 2), label="rigidity(2,1,0)")
+    for i in range(3):
+        for step in (-1, 1):
+            args = [2, 1, 0]
+            args[i] += step
+            forge(f"moved-{i}{step:+d}", rigidity, label="rigidity({},{},{})".format(*args))
+    forge("respelled", rigidity, label="rigidity( 2,1,0)")
+    return forgeries
+
+
 def test_verify_refuses_a_map_that_is_not_its_label(tmp_path, capsys):
-    cert = tmp_path / "cert.json"
-    assert run("solve", "--map", "rank(2,1)", "-p", "101", "--dmax", "2", "--out", str(cert)) == 0
-    doc = json.loads(cert.read_text())
-    # every coordinate x1, and Q = y1 - y2: it vanishes on that map, not on rank-1 matrices
-    for coord in doc["map"]["coords"]:
-        coord["terms"] = [{"c": 1, "e": [1, 0, 0, 0]}]
-    doc["Q"]["terms"] = [{"c": 1, "e": [1, 0, 0, 0]}, {"c": 100, "e": [0, 1, 0, 0]}]
-    forged = tmp_path / "forged.json"
-    forged.write_text(json.dumps(doc))
+    matrices = tmp_path / "I2.txt", tmp_path / "ones.txt"
+    matrices[0].write_text("101 2 2\n1 0\n0 1\n")
+    matrices[1].write_text("101 2 2\n1 1\n1 1\n")
+    for name, doc in _structural_forgeries(tmp_path).items():
+        forged = tmp_path / f"{name}.json"
+        forged.write_text(json.dumps(doc))
+        cert = AnnihilatorCertificate.from_json(forged.read_text())
+        assert verify_symbolic(cert.q, cert.pmap), name
+        capsys.readouterr()
+        assert run("verify", "--cert", str(forged), "--trials", "5") == 4, name
+        err = capsys.readouterr().err
+        assert "is not the" in err or "names no rigidity map" in err, (name, err)
+        for matrix in matrices:
+            assert run("certify", "--in", str(matrix), "--cert", str(forged)) == 4, name
+
+
+def test_certificate_labels_must_be_strings(tmp_path, rigidity_cert_file, capsys):
+    # a label of 5 used to crash certify (exit 1, "not certified") and verify
+    # printed "certificate for 5 verified"; a map with no label read as ""
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("5 2 2\n1 0\n0 1\n")
+    docs = []
+    for label in (5, None, ["x"]):
+        doc = json.loads(rigidity_cert_file.read_text())
+        doc["label"] = doc["map"]["label"] = label
+        docs.append(doc)
+    docs.append(json.loads(rigidity_cert_file.read_text()))
+    docs[-1]["map"].pop("label")
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"label-{i}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--cert", str(path)) == 4
+        assert run("certify", "--in", str(matrix), "--cert", str(path)) == 4
+        assert "unreadable certificate" in capsys.readouterr().err
+
+
+def test_a_label_outside_the_grammar_is_reported_unchecked(tmp_path, capsys):
+    """A map read with --in keeps its own label: verify checks Q against the
+    embedded map and says that the label was not checked; certify refuses."""
+    mapfile, cert = tmp_path / "map.json", tmp_path / "cert.json"
+    assert run("genmap", "--map", "rank(2,1)", "-p", "101", "--out", str(mapfile)) == 0
+    doc = json.loads(mapfile.read_text())
+    doc["label"] = "my 2x2 rank-1 map"
+    mapfile.write_text(json.dumps(doc))
+    assert run("solve", "--in", str(mapfile), "--dmax", "2", "--out", str(cert)) == 0
     capsys.readouterr()
-    assert run("verify", "--cert", str(forged), "--trials", "5") != 0
+    assert run("verify", "--cert", str(cert)) == 0
+    assert "the label 'my 2x2 rank-1 map' is not in the map grammar and was not checked" in capsys.readouterr().err
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("101 2 2\n1 0\n0 1\n")
+    assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
+
+
+def test_no_certificate_label_opens_a_file(tmp_path, rigidity_cert_file, monkeypatch, capsys):
+    sfile = tmp_path / "support.txt"
+    sfile.write_text("1 1\n2 2\n")
+    doc = json.loads(rigidity_cert_file.read_text())
+    doc["label"] = doc["map"]["label"] = f"support(2,1,{sfile})"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("5 2 2\n1 0\n0 1\n")
+    opened = []
+    real_open = builtins.open
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if not isinstance(file, int) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    capsys.readouterr()
+    assert run("verify", "--cert", str(cert)) == 0
+    assert "was not checked" in capsys.readouterr().err
+    assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
+    assert str(cert) in opened and str(sfile) not in opened
+
+
+@pytest.mark.parametrize("spec, p, flags, matrix, certify_code", [
+    ("universal(2,1,1,1)", 101, ("--mode", "sampled", "--dmax", "5"), "101 2 2\n1 0\n0 1\n", 0),
+    ("support(2,0,[1,1;2,2])", 101, ("--dmax", "1"), "101 2 2\n1 0\n0 1\n", 4),
+])
+def test_solve_verify_certify_by_label(tmp_path, capsys, spec, p, flags, matrix, certify_code):
+    """Every label a builder writes binds: solve, verify and certify agree on it."""
+    cert, mfile = tmp_path / "cert.json", tmp_path / "m.txt"
+    mfile.write_text(matrix)
+    assert run("solve", "--map", spec, "-p", str(p), *flags, "--out", str(cert)) == 0
+    assert run("verify", "--cert", str(cert), "--trials", "5") == 0
+    assert f"certificate for {spec} verified" in capsys.readouterr().err
+    assert run("certify", "--in", str(mfile), "--cert", str(cert)) == certify_code
 
 
 def test_one_parser_per_process(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 from itertools import combinations
@@ -19,9 +20,11 @@ from rigideq import (
     sv_selector,
     tensor_map,
     tensor_witness,
+    universal_graph,
+    universal_map,
 )
 from rigideq.cli import main
-from rigideq.generators import load_support_file
+from rigideq.generators import map_spec
 from rigideq.oracle import DenseMatrix, DenseTensor, rank, tensor_rank_bruteforce
 
 
@@ -298,36 +301,66 @@ def test_tensor_images_have_low_rank():
 # ---------------------------------------------------------------- spec grammar
 
 
-def test_parse_map_spec(f101, tmp_path):
+def test_parse_map_spec(f101):
     assert parse_map_spec(f101, "rank(2,1)").label == "rank(2,1)"
     assert parse_map_spec(f101, "rigidity(3,1,1)").label == "rigidity(3,1,1)"
     assert parse_map_spec(f101, "tensor(2,3,1)").label == "tensor(2,3,1)"
     assert parse_map_spec(f101, "sv(9,2)").label == "sv(9,2)"
-    sfile = tmp_path / "support.txt"
-    sfile.write_text("1 2\n3 3\n")
-    pmap = parse_map_spec(f101, f"support(3,1,{sfile})")
+    assert parse_map_spec(f101, "universal(2,1,1,1)") == universal_map(universal_graph(f101, 2, 1, 1, 1))
+    # the inline support is 1-indexed and sorted into the label
+    pmap = parse_map_spec(f101, "support(3,1,[3,3;1,2])")
+    assert pmap == fixed_support_map(f101, 3, 1, [(0, 1), (2, 2)])
     assert pmap.label == "support(3,1,[1,2;3,3])"
-    assert load_support_file(str(sfile)) == [(0, 1), (2, 2)]
-    with pytest.raises(ValueError):
-        parse_map_spec(f101, "frobnicate(1)")
-    with pytest.raises(ValueError):
-        parse_map_spec(f101, "rank(2)")
+    assert parse_map_spec(f101, " rank( 2, 1 ) ").label == "rank(2,1)"
+    for text in ("frobnicate(1)", "rank(2)", "rank(2,x)", "universal(2,1,1)", "support(3,1)",
+                 "support(3,1,[1,2;3])", "support(3,1,[1,2,3])", "support(3,1,1,2)", "rank(2,1"):
+        assert map_spec(text) is None, text
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_map_spec(f101, text)
+    # in the grammar, but the builder refuses it
+    for field, text in ((f101, "rank(2,3)"), (f101, "support(2,1,[3,1])"), (f101, "support(2,-1,[])"),
+                        (PrimeField(5), "universal(2,1,1,1)")):
+        assert map_spec(text) is not None, text
+        with pytest.raises(ValueError):
+            parse_map_spec(field, text)
 
 
-def test_support_file_comments(f101, tmp_path):
+@pytest.mark.parametrize("build", [
+    lambda F: rank_map(F, 3, 2),
+    lambda F: rigidity_map(RigidityParams(F, 3, 1, 0)),
+    lambda F: rigidity_map(RigidityParams(F, 2, 1, 2)),
+    lambda F: tensor_map(TensorParams(F, 2, 3, 2)),
+    lambda F: sv_map(SVParams(F, 9, 2)),
+    lambda F: fixed_support_map(F, 3, 1, []),
+    lambda F: fixed_support_map(F, 3, 0, [(2, 0), (0, 1), (1, 1)]),
+    lambda F: universal_map(universal_graph(F, 2, 1, 1, 1)),
+])
+def test_every_label_builds_its_map(f101, build):
+    pmap = build(f101)
+    assert parse_map_spec(f101, pmap.label) == pmap
+
+
+def test_support_file_comments(f101, tmp_path, monkeypatch):
+    """A support is written inline in the label: there are no support files,
+    and no comments inside a label. The old file form names no map and opens
+    nothing."""
     sfile = tmp_path / "support.txt"
-    sfile.write_text("# the diagonal of a 2x2\n1 1\n2 2 # diagonal\n   # indented\n\n")
-    assert load_support_file(str(sfile)) == [(0, 0), (1, 1)]
-    assert parse_map_spec(f101, f"support(2,1,{sfile})").label == "support(2,1,[1,1;2,2])"
-    # a '#' ends the pair; what stands before it must still be exactly two integers
-    sfile.write_text("1 # 1\n")
-    with pytest.raises(ValueError):
-        load_support_file(str(sfile))
+    sfile.write_text("1 1\n2 2 # diagonal\n")
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
+    for text in (f"support(2,1,{sfile})", "support(2,1,[1,1;2,2 # diagonal])"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_map_spec(f101, text)
+    assert parse_map_spec(f101, "support(2,1,[1,1;2,2])").label == "support(2,1,[1,1;2,2])"
+    assert opened == []
 
 
-def test_genmap_support_file_with_comment(tmp_path):
+def test_genmap_support_file_with_comment(tmp_path, capsys):
     sfile = tmp_path / "support.txt"
     sfile.write_text("1 1\n2 2 # diagonal\n")
     out = tmp_path / "map.json"
-    assert main(["genmap", "--map", f"support(2,1,{sfile})", "-p", "101", "--out", str(out)]) == 0
+    assert main(["genmap", "--map", f"support(2,1,{sfile})", "-p", "101", "--out", str(out)]) == 64
+    assert "cannot parse map spec" in capsys.readouterr().err and not out.exists()
+    assert main(["genmap", "--map", "support(2,1,[1,1;2,2])", "-p", "101", "--out", str(out)]) == 0
     assert '"label":"support(2,1,[1,1;2,2])"' in out.read_text()
