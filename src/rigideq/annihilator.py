@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .field import PrimeField
+from .generators import bound_map
 from .poly import MultiPoly, PolyMap, _mulmod, monomial_basis, monomial_images, packed_images, poly_compose
 
 
@@ -82,6 +83,8 @@ class AnnihilatorCertificate:
     mode: str
     seed: int
     verification: dict
+    # the document from_json read; None when built in memory or by dataclasses.replace
+    doc: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -105,7 +108,16 @@ class AnnihilatorCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AnnihilatorCertificate":
-        """The certificate of a document with exactly the fields solve writes."""
+        """from_json of the document's JSON text: the same checks, number types included."""
+        return cls.from_json(json.dumps(doc))
+
+    @classmethod
+    def from_json(cls, text: str) -> "AnnihilatorCertificate":
+        """The certificate of a document with exactly the fields and values solve
+        writes. A map labelled in the grammar is bound by comparison and never
+        parsed (generators.bound_map). Floats are refused as they are read and
+        the one boolean is symbolic_verified, so == compares only ints."""
+        doc = json.loads(text, parse_float=_refuse_float, parse_constant=_refuse_float)
         if set(doc) != _CERT_KEYS or doc["kind"] != "annihilator" or doc["mode"] not in _COUNTS:
             raise ValueError("not an annihilator certificate with the fields and a mode that solve writes")
         v, counts = doc["verification"], _COUNTS[doc["mode"]]
@@ -113,10 +125,16 @@ class AnnihilatorCertificate:
             raise ValueError(f"verification record {v!r} does not fit a {doc['mode']} certificate")
         if not all(type(v[k]) is int and v[k] >= 1 for k in counts) or v.get("rounds", 1) > MAX_RESAMPLE_ROUNDS:
             raise ValueError(f"need positive int counts and rounds <= {MAX_RESAMPLE_ROUNDS}: {v}")
-        pmap = PolyMap.from_json_dict(doc["map"])
-        q = MultiPoly.from_json_dict(doc["Q"])
         if type(doc["p"]) is not int or type(doc["D"]) is not int or type(doc["seed"]) is not int:
             raise TypeError(f"certificate p, D and seed must be ints: {doc['p']!r}, {doc['D']!r}, {doc['seed']!r}")
+        pmap = bound_map(doc["map"])
+        if pmap is None:
+            pmap = PolyMap.from_json_dict(doc["map"])
+        elif text.count("true") != 1 or "false" in text:
+            raise TypeError("a JSON boolean stands where a certificate holds a number")
+        q = MultiPoly.from_json_dict(doc["Q"])
+        if q.to_json_dict() != doc["Q"]:
+            raise ValueError("Q is not written canonically: residues in [1, p) in graded lex order")
         # bounds deg Q, and with it the cost of every check of Q o P
         if not 1 <= doc["D"] <= DEGREE_SEARCH_CAP or q.degree() > doc["D"]:
             raise ValueError(f"need deg Q <= D in 1..{DEGREE_SEARCH_CAP}: D={doc['D']}, deg Q={q.degree()}")
@@ -124,18 +142,13 @@ class AnnihilatorCertificate:
             raise ValueError("certificate p or label contradicts its map")
         if q.field != pmap.field or q.nvars != pmap.out_arity:
             raise ValueError("Q does not fit the map: wrong field or number of variables")
-        return cls(
-            pmap=pmap,
-            q=q,
-            degree=doc["D"],
-            mode=doc["mode"],
-            seed=doc["seed"],
-            verification=doc["verification"],
-        )
+        cert = cls(pmap=pmap, q=q, degree=doc["D"], mode=doc["mode"], seed=doc["seed"], verification=v)
+        object.__setattr__(cert, "doc", doc)
+        return cert
 
-    @classmethod
-    def from_json(cls, text: str) -> "AnnihilatorCertificate":
-        return cls.from_json_dict(json.loads(text))
+
+def _refuse_float(text: str):
+    raise TypeError(f"certificate numbers are integers, not {text}")
 
 
 def _log_comb(n: int, k: int) -> float:

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .annihilator import AnnihilatorCertificate
-from .generators import map_spec, parse_map_spec
+from .generators import bound_map, map_spec
 from .oracle import DenseMatrix
 from .poly import MultiPoly, PolyMap, poly_compose
 
@@ -28,15 +28,6 @@ class PitReport:
     degree_bound: int  # deg(Q) * deg(P)
     per_trial_bound: Fraction
     aggregate_bound: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "p": self.p,
-            "degree_bound": self.degree_bound,
-            "per_trial_bound": [self.per_trial_bound.numerator, self.per_trial_bound.denominator],
-            "aggregate_bound": [self.aggregate_bound.numerator, self.aggregate_bound.denominator],
-        }
 
     def display(self) -> str:
         approx = float(self.aggregate_bound) if self.aggregate_bound < 1 else 1.0
@@ -74,39 +65,26 @@ class UnverifiedCertificateError(ValueError):
     pass
 
 
-def bind_label(cert: AnnihilatorCertificate) -> tuple[str, tuple] | None:
-    """(name, arguments) of the map the certificate's label names, None for a
-    label outside parse_map_spec's grammar. The label is the claim, so refuse
-    a label that names no map, or a map other than the embedded one; PolyMap
-    equality includes the label, so a respelling (rank( 2,1)) is refused too."""
-    spec = map_spec(cert.label)
-    if spec is None:
-        return None
-    try:
-        rebuilt = parse_map_spec(cert.pmap.field, cert.label)
-    except ValueError as exc:
-        raise UnverifiedCertificateError(f"label {cert.label!r} names no {spec[0]} map: {exc}") from exc
-    if cert.pmap != rebuilt:
-        raise UnverifiedCertificateError(f"embedded map is not the {cert.label} map")
-    return spec
+class _MatrixCertificate:
+    """JSON of its fields, the matrix as entries and the annihilator as the
+    document it was loaded from, as it is, or else built from its parts."""
 
+    def to_json_dict(self) -> dict:
+        ann = self.annihilator
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "kind": self.kind,
+                "matrix": list(self.matrix.entries), "annihilator": ann.doc or ann.to_json_dict()}
 
-def _require_verified(cert: AnnihilatorCertificate):
-    """Refuse unless the certificate claims symbolic verification, Q is nonzero
-    and Q o P = 0 holds here: the stored flag alone is never trusted."""
-    if not cert.verification.get("symbolic_verified"):
-        raise UnverifiedCertificateError("certificate lacks symbolic verification; refusing")
-    if cert.q.is_zero():
-        raise UnverifiedCertificateError("certificate polynomial is zero")
-    if not verify_symbolic(cert.q, cert.pmap):
-        raise UnverifiedCertificateError("certificate failed symbolic re-verification")
+    def to_json(self) -> str:
+        # a fresh tree of JSON values, which holds no cycle to look for
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 @dataclass(frozen=True)
-class RigidityCertificate:
+class RigidityCertificate(_MatrixCertificate):
     """Witness that Q(M) != 0 for a verified rigidity-map annihilator Q, hence
     M is (r, k)-rigid wherever the formal identity Q o P == 0 applies."""
 
+    kind = "rigidity"
     n: int
     r: int
     k: int
@@ -115,30 +93,26 @@ class RigidityCertificate:
     annihilator: AnnihilatorCertificate
     value: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "rigidity",
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "p": self.p,
-            "matrix": list(self.matrix.entries),
-            "value": self.value,
-            "annihilator": self.annihilator.to_json_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-
 
 def _labelled_value(matrix: DenseMatrix, cert: AnnihilatorCertificate, name: str):
     """The label's arguments, which are what gets certified, and Q(M), once
-    the label binds a `name` map, Q o P = 0 holds here and M is an n x n
-    matrix over the certificate's field."""
-    spec = bind_label(cert)
+    the label names a `name` map equal to the certificate's, the certificate
+    is verified here and M is an n x n matrix over the certificate's field."""
+    spec = map_spec(cert.label)
     if spec is None or spec[0] != name:
         raise ValueError(f"certificate is not for a {name} map: label {cert.label!r}")
-    _require_verified(cert)
+    if cert.doc is None:  # built in memory: bound here as from_json binds a loaded one
+        try:
+            bound_map(cert.pmap.to_json_dict())
+        except ValueError as exc:
+            raise UnverifiedCertificateError(str(exc)) from exc
+    # the stored flag alone is never trusted: Q is nonzero and Q o P = 0 here
+    if not cert.verification.get("symbolic_verified"):
+        raise UnverifiedCertificateError("certificate lacks symbolic verification; refusing")
+    if cert.q.is_zero():
+        raise UnverifiedCertificateError("certificate polynomial is zero")
+    if not verify_symbolic(cert.q, cert.pmap):
+        raise UnverifiedCertificateError("certificate failed symbolic re-verification")
     n = spec[1][0]
     if matrix.field != cert.pmap.field:
         raise ValueError("matrix and certificate over different fields")
@@ -156,10 +130,11 @@ def certify_rigid(matrix: DenseMatrix, cert: AnnihilatorCertificate):
 
 
 @dataclass(frozen=True)
-class CircuitLowerBoundCertificate:
+class CircuitLowerBoundCertificate(_MatrixCertificate):
     """Witness that Q(M) != 0 for a universal-circuit-map annihilator, hence M
     has no linear circuit within the recorded (size, depth, width) budget."""
 
+    kind = "circuit-lower-bound"
     n: int
     s_budget: int
     L: int
@@ -168,22 +143,6 @@ class CircuitLowerBoundCertificate:
     matrix: DenseMatrix
     annihilator: AnnihilatorCertificate
     value: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "circuit-lower-bound",
-            "n": self.n,
-            "s_budget": self.s_budget,
-            "L": self.L,
-            "w": self.w,
-            "p": self.p,
-            "matrix": list(self.matrix.entries),
-            "value": self.value,
-            "annihilator": self.annihilator.to_json_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def certify_circuit_lower_bound(matrix: DenseMatrix, cert: AnnihilatorCertificate):

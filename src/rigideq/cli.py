@@ -21,7 +21,6 @@ from .annihilator import (
     find_annihilator,
 )
 from .certify import (
-    bind_label,
     certify_circuit_lower_bound,
     certify_rigid,
     verify_pit,
@@ -134,7 +133,6 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = _load_cert(args.cert)
-    checked = bind_label(cert) is not None
     if cert.q.is_zero():
         print("verification failed: Q is zero", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -148,7 +146,7 @@ def cmd_verify(args) -> int:
     if not ok:
         print("verification failed: nonzero PIT evaluation", file=sys.stderr)
         return EXIT_VERIFICATION
-    unchecked = "" if checked else f"; the label {cert.label!r} is not in the map grammar and was not checked"
+    unchecked = "" if map_spec(cert.label) else f"; the label {cert.label!r} is not in the map grammar and was not checked"
     print(f"certificate for {cert.label} verified (D={cert.degree}){unchecked}", file=sys.stderr)
     return EXIT_OK
 

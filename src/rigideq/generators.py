@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 from .field import PrimeField
@@ -76,18 +77,8 @@ def rank_map(field: PrimeField, n: int, r: int) -> PolyMap:
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    nvars = 2 * n * r
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            for t in range(r):
-                e = [0] * nvars
-                e[i * r + t] += 1
-                e[n * r + t * n + j] += 1
-                terms[tuple(e)] = 1
-            coords.append(MultiPoly(field, nvars, terms))
-    return PolyMap(field, nvars, tuple(coords), label=f"rank({n},{r})")
+    # the empty support adds nothing to UV
+    return PolyMap(field, 2 * n * r, fixed_support_map(field, n, r, []).coordinates, label=f"rank({n},{r})")
 
 
 @dataclass(frozen=True)
@@ -212,7 +203,7 @@ def fixed_support_map(field: PrimeField, n: int, r: int, support: Sequence[tuple
                 e = [0] * nvars
                 e[var_of[(i, j)]] = 1
                 terms[tuple(e)] = 1
-            coords.append(MultiPoly(field, nvars, terms))
+            coords.append(MultiPoly._trusted(field, nvars, terms))  # clean by construction
     sup_str = ";".join(f"{i + 1},{j + 1}" for i, j in support)
     return PolyMap(field, nvars, tuple(coords), label=f"support({n},{r},[{sup_str}])")
 
@@ -248,21 +239,14 @@ def tensor_map(params: TensorParams) -> PolyMap:
     F, n, d, r = params.field, params.n, params.d, params.r
     nvars = params.in_arity
     coords = []
-    for flat in range(n**d):
-        digits = []
-        rem = flat
-        for _ in range(d):
-            digits.append(rem % n)
-            rem //= n
-        digits.reverse()  # digits[c] = a_{c+1}
+    for digits in product(range(n), repeat=d):  # digits[c] = a_{c+1}, the last fastest
         terms = {}
         for i in range(r):
             e = [0] * nvars
             for c in range(d):
                 e[c * r * n + i * n + digits[c]] += 1
             terms[tuple(e)] = (terms.get(tuple(e), 0) + 1) % F.p
-        q = MultiPoly(F, nvars, terms)
-        coords.append(q)
+        coords.append(MultiPoly(F, nvars, terms))
     pmap = PolyMap(F, nvars, tuple(coords), label=f"tensor({n},{d},{r})")
     if any(q.degree() != d for q in pmap.coordinates):
         raise AssertionError(f"a tensor map coordinate is not of degree d = {d}")
@@ -306,6 +290,47 @@ def map_spec(text: str) -> tuple[str, tuple] | None:
     if len(args) != _ARITY[name]:
         return None
     return name, args + ((positions,) if name == "support" else ())
+
+
+def map_arities(p: int, name: str, args: tuple) -> tuple[int, int]:
+    """(m, N) of the map that parse_map_spec builds from the label (name,
+    args), from the arguments alone, so that a label of any size is checked
+    against a document before anything is built. A universal label must
+    leave room for its edge labels, p > s', as universal_graph checks. A
+    tensor's N is n**min(d, 64): no document lists 2**64 coordinates."""
+    n, a, *rest = args
+    if name == "tensor":
+        return a * rest[0] * n, n ** min(a, 64)
+    if name == "sv":
+        return 2 * a, n
+    if name == "universal":
+        from .lincircuit import edge_count  # lincircuit imports this module
+        s_prime = edge_count(n, *rest)
+        if min(args[1:]) < 1 or p <= s_prime:
+            raise ValueError(f"need s, L, w >= 1 and p > s' = {s_prime}")
+        return 2 * a, n * n
+    # rank, rigidity, support: blocks of n x r and r x n, then 2k SV or the support variables
+    return 2 * n * a + (0 if name == "rank" else 2 * rest[0] if name == "rigidity" else len(rest[0])), n * n
+
+
+def bound_map(doc: dict) -> PolyMap | None:
+    """The map a serialized map's label names, once doc is exactly its JSON;
+    None for a label outside the grammar. Its arities must fit doc's m, N and
+    coordinates before it is built, once; then only canonical values compare
+    equal. As 1 == 1.0 == True, the caller keeps floats and bools out of doc."""
+    label = doc["label"]
+    spec = map_spec(label)
+    if spec is None:
+        return None
+    field = PrimeField(doc["p"])
+    try:
+        m, N = map_arities(field.p, *spec)
+        pmap = parse_map_spec(field, label) if (m, N, N) == (doc["m"], doc["N"], len(doc["coords"])) else None
+    except ValueError as exc:
+        raise ValueError(f"label {label!r} names no {spec[0]} map: {exc}") from exc
+    if pmap is None or pmap.to_json_dict() != doc:
+        raise ValueError(f"embedded map is not the {label} map")
+    return pmap
 
 
 def parse_map_spec(field: PrimeField, text: str) -> PolyMap:

@@ -136,10 +136,16 @@ class UniversalGraph:
         return {e: i for i, e in enumerate(self.edges)}
 
 
+def edge_count(n: int, L: int, w: int) -> int:
+    """s' of the universal graph: internal layer l sees n + (l - 1) w vertices, the output layer n + L w."""
+    return L * w * n + w * w * L * (L - 1) // 2 + n * (n + L * w)
+
+
 def universal_graph(field: PrimeField, n: int, s_budget: int, L: int | None = None, w: int | None = None) -> UniversalGraph:
     """Build the universal graph; defaults L = w = s_budget.
 
-    Requires p > s' (the actual edge count) so that the SV labeling exists.
+    Requires p > s' (the actual edge count) so that the SV labeling exists;
+    that is checked before the edges are listed.
     """
     if s_budget < 1:
         raise ValueError("s_budget must be >= 1")
@@ -147,18 +153,14 @@ def universal_graph(field: PrimeField, n: int, s_budget: int, L: int | None = No
     w = s_budget if w is None else w
     if L < 1 or w < 1:
         raise ValueError("need L >= 1 and w >= 1")
-    if w * L < s_budget:
-        warnings.warn(f"universal graph with w*L = {w * L} < s_budget = {s_budget} cannot hold every circuit")
-    edges = []
-    layer_sizes = [n] + [w] * L + [n]
-    for tl in range(1, L + 2):
-        for ti in range(layer_sizes[tl]):
-            for sl in range(tl):
-                for si in range(layer_sizes[sl]):
-                    edges.append(((sl, si), (tl, ti)))
-    s_prime = len(edges)
+    s_prime = edge_count(n, L, w)
     if field.p <= s_prime:
         raise ValueError(f"field too small for edge labeling: p={field.p}, need p > s'={s_prime}")
+    if w * L < s_budget:
+        warnings.warn(f"universal graph with w*L = {w * L} < s_budget = {s_budget} cannot hold every circuit")
+    sizes = [n] + [w] * L + [n]
+    edges = [((sl, si), (tl, ti)) for tl in range(1, L + 2) for ti in range(sizes[tl])
+             for sl in range(tl) for si in range(sizes[sl])]
     sv_params = SVParams(field, s_prime, s_budget)
     return UniversalGraph(field, n, s_budget, L, w, tuple(edges), sv_params)
 

@@ -37,8 +37,8 @@ share; MultiPoly.evaluate is the scalar evaluator of one polynomial.
 MultiPoly(...) validates its terms (nvars, exponents and coefficients are
 ints, exponent length and sign, coefficients reduced mod p, zeros dropped),
 since certificates come in through it.
-Arithmetic here builds terms that are clean by construction and returns them
-through MultiPoly._trusted, which checks nothing.
+Arithmetic here, and generators.fixed_support_map, build terms that are clean
+by construction and return them through MultiPoly._trusted, which checks nothing.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class MultiPoly:
     def _trusted(cls, field: PrimeField, nvars: int, terms: dict) -> "MultiPoly":
         """A polynomial from terms that are already clean: exponent tuples of
         nvars Python ints >= 0 and coefficients in [1, p). Nothing is
-        re-checked, so only code in this module that builds such terms calls
-        it; input from outside goes through MultiPoly(...)."""
+        re-checked, so only code that builds such terms calls it (this module
+        and fixed_support_map); input from outside goes through MultiPoly(...)."""
         poly = object.__new__(cls)
         poly._assign(field, nvars, terms)
         return poly
@@ -329,7 +329,10 @@ class _ArrayPoly(MultiPoly):
         return len(self._EC[1])
 
     def degree(self):
-        return int(self._EC[0].sum(axis=1).max())
+        # column by column, in int64 so that uint8 cannot wrap: sum(axis=1)
+        # over rows of a few entries is about four times slower
+        E = self._EC[0]
+        return int(sum(E.T, np.zeros(len(E), dtype=np.int64)).max())
 
     def _term_arrays(self, cdtype) -> tuple[np.ndarray, np.ndarray]:
         E, C = self._EC
@@ -453,8 +456,8 @@ class _Layout:
 
     def keys(self, E: np.ndarray) -> np.ndarray:
         """The packed key of every row of an exponent array."""
-        shifts = np.array(self.shifts, dtype=self.dtype)
-        return (E.astype(self.dtype) << shifts).sum(axis=1, dtype=self.dtype)
+        fields = (E[:, i].astype(self.dtype) << self.scalar(k) for i, k in enumerate(self.shifts))
+        return sum(fields, np.zeros(len(E), dtype=self.dtype))  # by columns, as in _ArrayPoly.degree
 
     def key(self, exps: tuple) -> int:
         """The packed key of one exponent vector, as a Python int."""

@@ -171,6 +171,20 @@ def test_certify_rigid_refuses_a_relabelled_map():
     assert certify_rigid(DenseMatrix(F11, 2, 2, (1, 0, 0, 1)), real) is not None
 
 
+def test_a_loaded_certificate_is_bound_and_its_copies_are_bound_again(rigidity210_cert):
+    """from_json binds the label and keeps the canonical document, from which
+    certify writes; a copy made with dataclasses.replace has no document,
+    so it is bound again, by comparison, as one built in memory."""
+    loaded = AnnihilatorCertificate.from_json(rigidity210_cert.to_json())
+    assert loaded.doc == rigidity210_cert.to_json_dict() and loaded == rigidity210_cert
+    m = DenseMatrix(PrimeField(5), 2, 2, (1, 0, 0, 1))
+    assert certify_rigid(m, loaded).to_json() == certify_rigid(m, rigidity210_cert).to_json()
+    relabelled = dataclasses.replace(loaded, pmap=dataclasses.replace(loaded.pmap, label="rigidity(2,1,1)"))
+    assert relabelled.doc is None
+    with pytest.raises(UnverifiedCertificateError, match="not the rigidity"):
+        certify_rigid(m, relabelled)
+
+
 # ---------------------------------------------------------------- circuit certificates
 
 

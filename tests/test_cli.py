@@ -8,7 +8,9 @@ import threading
 
 import pytest
 
-from rigideq import AnnihilatorCertificate, PolyMap, PrimeField, determinant_poly
+import rigideq.generators as generators
+import rigideq.lincircuit as lincircuit
+from rigideq import AnnihilatorCertificate, MultiPoly, PolyMap, PrimeField, determinant_poly
 from rigideq.annihilator import MAX_RESAMPLE_ROUNDS
 from rigideq.certify import verify_symbolic
 from rigideq.cli import build_parser, main
@@ -180,7 +182,9 @@ def _malformed_certs(tmp_path, cert_file):
     another kind or mode, a seed that is not an int, a verification record
     with a key too many or too few for its mode, symbolic_verified other
     than true, counts that are not positive ints, and rounds outside
-    1..MAX_RESAMPLE_ROUNDS."""
+    1..MAX_RESAMPLE_ROUNDS. Last, values that are equal to the canonical ones
+    but not written as solve writes them: a map or Q coefficient of p + 1,
+    and Q's terms out of graded lex order."""
     paths = []
     for name, forge in (
         ("no-q", lambda d: d.pop("Q")),
@@ -215,6 +219,9 @@ def _malformed_certs(tmp_path, cert_file):
         ("rows-lots", lambda d: d["verification"].update(rows="lots")),
         ("rounds-0", lambda d: (d.update(mode="sampled"), d["verification"].update(rounds=0))),
         ("rounds-5", lambda d: (d.update(mode="sampled"), d["verification"].update(rounds=5))),
+        ("map-coefficient-p-plus-1", lambda d: d["map"]["coords"][0]["terms"][0].update(c=d["p"] + 1)),
+        ("q-coefficient-p-plus-1", lambda d: d["Q"]["terms"][0].update(c=d["Q"]["terms"][0]["c"] + d["p"])),
+        ("q-terms-permuted", lambda d: d["Q"]["terms"].reverse()),
     ):
         doc = json.loads(cert_file.read_text())
         forge(doc)
@@ -373,14 +380,66 @@ def test_verify_refuses_a_map_that_is_not_its_label(tmp_path, capsys):
     for name, doc in _structural_forgeries(tmp_path).items():
         forged = tmp_path / f"{name}.json"
         forged.write_text(json.dumps(doc))
-        cert = AnnihilatorCertificate.from_json(forged.read_text())
-        assert verify_symbolic(cert.q, cert.pmap), name
+        # Q annihilates the embedded map, which only a parse of it shows:
+        # from_json builds the label's map and refuses the document
+        assert verify_symbolic(MultiPoly.from_json_dict(doc["Q"]), PolyMap.from_json_dict(doc["map"])), name
         capsys.readouterr()
         assert run("verify", "--cert", str(forged), "--trials", "5") == 4, name
         err = capsys.readouterr().err
         assert "is not the" in err or "names no rigidity map" in err, (name, err)
         for matrix in matrices:
             assert run("certify", "--in", str(matrix), "--cert", str(forged)) == 4, name
+
+
+def _spy_builders(monkeypatch):
+    """Names of the map builders called from now on, in call order."""
+    called = []
+    for module, names in ((generators, ("parse_map_spec", "rank_map", "rigidity_map", "fixed_support_map",
+                                        "tensor_map", "sv_map")),
+                          (lincircuit, ("universal_graph", "universal_map"))):
+        for name in names:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **k: called.append(_name) or _real(*a, **k))
+    return called
+
+
+def test_oversized_labels_are_refused_before_any_build(tmp_path, monkeypatch, capsys):
+    """A 4-coordinate certificate relabelled with a map of another size is
+    refused from the label's closed-form arities, and a universal label from
+    its closed-form edge count: rank(80,80) used to build its 6400
+    coordinates first, for about a minute."""
+    base = _solved(tmp_path, "rigidity(2,1,0)", 10007, 2)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("10007 2 2\n1 0\n0 1\n")
+    called = _spy_builders(monkeypatch)
+    for label, why in (
+        ("rank(80,80)", "not the rank(80,80) map"),
+        ("support(2,1000000000,[])", "not the support(2,1000000000,[]) map"),
+        ("universal(80,1,1,1)", "not the universal(80,1,1,1) map"),
+        ("universal(2,1,1000000,1000000)", "names no universal map"),
+        ("tensor(2,1000000000,1)", "not the tensor(2,1000000000,1) map"),
+        ("sv(1000000000,1)", "not the sv(1000000000,1) map"),
+    ):
+        doc = copy.deepcopy(base)
+        doc["label"] = doc["map"]["label"] = label
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--cert", str(forged)) == 4, label
+        assert why in capsys.readouterr().err, label
+        assert run("certify", "--in", str(matrix), "--cert", str(forged)) == 4, label
+        assert called == [], (label, called)
+
+
+def test_certify_builds_the_label_map_once_and_parses_no_map(tmp_path, rigidity_cert_file, monkeypatch, capsys):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("5 2 2\n1 0\n0 1\n")
+    called = _spy_builders(monkeypatch)
+    parsed = []
+    real = PolyMap.from_json_dict.__func__
+    monkeypatch.setattr(PolyMap, "from_json_dict", classmethod(lambda cls, doc: parsed.append(doc) or real(cls, doc)))
+    assert run("certify", "--in", str(matrix), "--cert", str(rigidity_cert_file)) == 0
+    assert called.count("parse_map_spec") == called.count("rigidity_map") == 1 and parsed == []
 
 
 def test_certificate_labels_must_be_strings(tmp_path, rigidity_cert_file, capsys):
@@ -502,7 +561,29 @@ def test_one_parser_per_process(tmp_path, capsys):
 CERTIFY_OUT_SHA256 = {
     "rigidity(2,1,0)": "61701fb3ee8d566a7d43323825f94a24991285d3091f5f5d4296660c8de692ef",
     "rigidity(4,2,0)": "666cb244b68c4f8f5da61c12839d2e7edaf06f0db7085d90a9e34a4f3c10d172",
+    # as emitted while certify still re-serialized the certificate it parsed
+    "universal(2,1,1,1)": "b93e5a6fcb5d7a566ad37d7180578cc6f0502cc781a6f7663b5c8fbac9135438",
+    "rigidity(4,2,0) indent=2": "666cb244b68c4f8f5da61c12839d2e7edaf06f0db7085d90a9e34a4f3c10d172",
 }
+
+
+def test_certify_out_bytes_pinned(tmp_path, identity_certify, capsys):
+    """certify writes the canonical document whatever the layout of its
+    input: a pretty-printed certificate gives the bytes of the compact one."""
+    cert, matrix = tmp_path / "universal.json", tmp_path / "I2.txt"
+    matrix.write_text("101 2 2\n1 0\n0 1\n")
+    assert run("solve", "--map", "universal(2,1,1,1)", "-p", "101", "--mode", "sampled", "--dmax", "5",
+               "--out", str(cert)) == 0
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(json.loads((tmp_path / "rigidity(4,2,0).json").read_text()), indent=2))
+    argv = identity_certify["rigidity(4,2,0)"]
+    for spec, certify in (
+        ("universal(2,1,1,1)", ["certify", "--in", str(matrix), "--cert", str(cert)]),
+        ("rigidity(4,2,0) indent=2", argv[:-1] + [str(pretty)]),
+    ):
+        capsys.readouterr()
+        assert run(*certify) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CERTIFY_OUT_SHA256[spec], spec
 
 
 @pytest.fixture()

@@ -24,7 +24,7 @@ from rigideq import (
     universal_map,
 )
 from rigideq.cli import main
-from rigideq.generators import map_spec
+from rigideq.generators import bound_map, map_arities, map_spec
 from rigideq.oracle import DenseMatrix, DenseTensor, rank, tensor_rank_bruteforce
 
 
@@ -338,6 +338,36 @@ def test_parse_map_spec(f101):
 def test_every_label_builds_its_map(f101, build):
     pmap = build(f101)
     assert parse_map_spec(f101, pmap.label) == pmap
+    # builders that skip MultiPoly's checks build terms that pass them
+    assert all(MultiPoly(f101, q.nvars, q.terms) == q for q in pmap.coordinates)
+    # the closed-form arities that bind a certificate's label before any build
+    assert map_arities(f101.p, *map_spec(pmap.label)) == (pmap.in_arity, pmap.out_arity)
+    assert bound_map(pmap.to_json_dict()) == pmap
+
+
+def test_bound_map_refuses_other_maps_and_values(f101):
+    doc = parse_map_spec(f101, "rigidity(2,1,0)").to_json_dict()
+    assert bound_map(dict(doc, label="my map")) is None  # outside the grammar
+    for forged, match in (
+        (dict(doc, label="rank(80,80)"), "not the rank\\(80,80\\) map"),
+        (dict(doc, label="rigidity( 2,1,0)"), "not the rigidity\\( 2,1,0\\) map"),
+        (dict(doc, label="universal(2,1,9,9)"), "names no universal map"),
+        (dict(doc, coords=doc["coords"][:3]), "not the rigidity\\(2,1,0\\) map"),
+        # a residue written as p + 1
+        (dict(doc, coords=[dict(doc["coords"][0], terms=[{"c": 102, "e": [1, 0, 1, 0]}])] + doc["coords"][1:]),
+         "not the rigidity"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            bound_map(forged)
+    with pytest.raises(TypeError):
+        bound_map(dict(doc, label=5))
+
+
+def test_tensor_arities_of_a_huge_order(f101):
+    # n**d is never formed for a huge d: no document has 2**64 coordinates
+    m, N = map_arities(f101.p, "tensor", (2, 10**9, 1))
+    assert m == 2 * 10**9 and N >= 2**64
+    assert map_arities(f101.p, "tensor", (1, 10**9, 1)) == (10**9, 1)
 
 
 def test_support_file_comments(f101, tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ from rigideq import (
     universal_graph,
     universal_map,
 )
-from rigideq.lincircuit import CircuitError, topological_order
+from rigideq.lincircuit import CircuitError, edge_count, topological_order
 
 from conftest import random_poly, term_dicts_built
 
@@ -78,6 +78,17 @@ def test_universal_graph_edge_count(f101):
     assert g.edges[0] == ((0, 0), (1, 0))
     assert g.edges[1] == ((0, 1), (1, 0))
     assert g.edges[2] == ((0, 0), (1, 1))
+
+
+def test_edge_count_closed_form(f101):
+    for n, L, w in ((2, 1, 1), (2, 2, 2), (3, 2, 1), (1, 3, 2), (2, 1, 4)):
+        assert edge_count(n, L, w) == universal_graph(f101, n, 1, L=L, w=w).edge_count
+
+
+def test_universal_graph_refuses_before_listing_edges():
+    # a graph of about 10**12 edges is refused by its closed-form count
+    with pytest.raises(ValueError, match="field too small"):
+        universal_graph(PrimeField(101), 2, 1, L=10**6, w=10**6)
 
 
 def test_universal_graph_field_too_small():
