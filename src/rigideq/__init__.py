@@ -35,7 +35,6 @@ from .lincircuit import (
     universal_map,
 )
 from .annihilator import (
-    AnnihilatorCertificate,
     ResourceLimitError,
     SolverConfig,
     composition_matrix_sampled,
@@ -53,6 +52,7 @@ from .oracle import (
     tensor_rank_bruteforce,
 )
 from .certify import (
+    AnnihilatorCertificate,
     CircuitLowerBoundCertificate,
     PitReport,
     RigidityCertificate,

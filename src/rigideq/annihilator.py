@@ -7,8 +7,8 @@ annihilator. Its columns are the images of the monomials under P, from
 poly.monomial_images one degree at a time: the symbolic matrix takes its rows
 straight from the packed monomials of poly.packed_images. A sampled mode
 replaces the astronomically tall symbolic matrix with rows of point
-evaluations; every returned polynomial is verified symbolically, in both
-modes.
+evaluations. Both modes run one round loop and verify every returned
+polynomial symbolically; the certificate it goes into is certify's.
 
 The nullspace comes from an exact blocked elimination mod p that works only
 where pivots are still missing. The echelon rows are kept on the columns with
@@ -18,22 +18,21 @@ windows as wide as it is tall, with int64 row operations. A float64 sum of
 integers is exact below 2**53, so each matmul adds at most k products of
 residues with k * (p - 1)**2 < 2**53. Moduli with (p - 1)**2 >= 2**53 are
 split into 16-bit limbs, multiplied by three limb products (Karatsuba).
-Every prime p with p * p < 2**62 (up to 2**31 - 1) is supported. That exact
+Every modulus of a PrimeField (p < 2**31) is supported. That exact
 modular matmul is poly._mulmod: poly.packed_weighted_sum forms sums of
 products on shared supports with it too.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import _COUNTS, DEGREE_SEARCH_CAP, MAX_RESAMPLE_ROUNDS, AnnihilatorCertificate
 from .field import PrimeField
-from .generators import bound_map
 from .poly import MultiPoly, PolyMap, _mulmod, monomial_basis, monomial_images, packed_images, poly_compose
 
 
@@ -42,19 +41,11 @@ class ResourceLimitError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """A kernel vector failed symbolic verification: Q o P != 0."""
-
-
-class SampledVerificationError(VerificationError):
-    """Sampled-mode kernel vectors repeatedly failed symbolic verification."""
+    """Every round's kernel vector at one degree failed symbolic verification: Q o P != 0."""
 
 
 ROW_CAP = 5_000_000  # estimated rows of the largest symbolic matrix built
-DEGREE_SEARCH_CAP = 64
 SAMPLE_MARGIN = 16
-MAX_RESAMPLE_ROUNDS = 4
-_CERT_KEYS = {"kind", "label", "p", "map", "D", "mode", "seed", "Q", "verification"}
-_COUNTS = {"symbolic": ("kernel_dim", "rows"), "sampled": ("kernel_dim", "rows", "rounds")}  # per mode
 
 
 @dataclass(frozen=True)
@@ -71,84 +62,6 @@ class SolverConfig:
             raise ValueError("need 1 <= d_min <= d_max")
         if self.d_max > DEGREE_SEARCH_CAP:
             raise ValueError(f"d_max={self.d_max} exceeds the degree cap {DEGREE_SEARCH_CAP}")
-
-
-@dataclass(frozen=True)
-class AnnihilatorCertificate:
-    """A nonzero Q with Q o P == 0, plus how it was found and verified."""
-
-    pmap: PolyMap
-    q: MultiPoly
-    degree: int
-    mode: str
-    seed: int
-    verification: dict
-    # the document from_json read; None when built in memory or by dataclasses.replace
-    doc: dict | None = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def label(self) -> str:
-        return self.pmap.label
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "annihilator",
-            "label": self.pmap.label,
-            "p": self.pmap.field.p,
-            "map": self.pmap.to_json_dict(),
-            "D": self.degree,
-            "mode": self.mode,
-            "seed": self.seed,
-            "Q": self.q.to_json_dict(),
-            "verification": self.verification,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AnnihilatorCertificate":
-        """from_json of the document's JSON text: the same checks, number types included."""
-        return cls.from_json(json.dumps(doc))
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnnihilatorCertificate":
-        """The certificate of a document with exactly the fields and values solve
-        writes. A map labelled in the grammar is bound by comparison and never
-        parsed (generators.bound_map). Floats are refused as they are read and
-        the one boolean is symbolic_verified, so == compares only ints."""
-        doc = json.loads(text, parse_float=_refuse_float, parse_constant=_refuse_float)
-        if set(doc) != _CERT_KEYS or doc["kind"] != "annihilator" or doc["mode"] not in _COUNTS:
-            raise ValueError("not an annihilator certificate with the fields and a mode that solve writes")
-        v, counts = doc["verification"], _COUNTS[doc["mode"]]
-        if not isinstance(v, dict) or set(v) != {"symbolic_verified", *counts} or v["symbolic_verified"] is not True:
-            raise ValueError(f"verification record {v!r} does not fit a {doc['mode']} certificate")
-        if not all(type(v[k]) is int and v[k] >= 1 for k in counts) or v.get("rounds", 1) > MAX_RESAMPLE_ROUNDS:
-            raise ValueError(f"need positive int counts and rounds <= {MAX_RESAMPLE_ROUNDS}: {v}")
-        if type(doc["p"]) is not int or type(doc["D"]) is not int or type(doc["seed"]) is not int:
-            raise TypeError(f"certificate p, D and seed must be ints: {doc['p']!r}, {doc['D']!r}, {doc['seed']!r}")
-        pmap = bound_map(doc["map"])
-        if pmap is None:
-            pmap = PolyMap.from_json_dict(doc["map"])
-        elif text.count("true") != 1 or "false" in text:
-            raise TypeError("a JSON boolean stands where a certificate holds a number")
-        q = MultiPoly.from_json_dict(doc["Q"])
-        if q.to_json_dict() != doc["Q"]:
-            raise ValueError("Q is not written canonically: residues in [1, p) in graded lex order")
-        # bounds deg Q, and with it the cost of every check of Q o P
-        if not 1 <= doc["D"] <= DEGREE_SEARCH_CAP or q.degree() > doc["D"]:
-            raise ValueError(f"need deg Q <= D in 1..{DEGREE_SEARCH_CAP}: D={doc['D']}, deg Q={q.degree()}")
-        if doc["p"] != pmap.field.p or doc["label"] != pmap.label:
-            raise ValueError("certificate p or label contradicts its map")
-        if q.field != pmap.field or q.nvars != pmap.out_arity:
-            raise ValueError("Q does not fit the map: wrong field or number of variables")
-        cert = cls(pmap=pmap, q=q, degree=doc["D"], mode=doc["mode"], seed=doc["seed"], verification=v)
-        object.__setattr__(cert, "doc", doc)
-        return cert
-
-
-def _refuse_float(text: str):
-    raise TypeError(f"certificate numbers are integers, not {text}")
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -206,8 +119,6 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     transpose of one int64 array that each degree is written into in place.
     """
     p = pmap.field.p
-    if p * p >= 2**63:
-        raise ValueError("modulus too large for the int64 sampled build")
     basis = monomial_basis(pmap.out_arity, D)
     rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
     points = [[rng.randrange(p) for _ in range(pmap.in_arity)] for _ in range(rows)]
@@ -346,46 +257,30 @@ def find_annihilator(pmap: PolyMap, cfg: SolverConfig):
     """Search D = d_min..d_max for a nonzero Q of degree <= D with Q o P == 0.
 
     Returns an AnnihilatorCertificate for the smallest successful D, or None
-    when the range is exhausted ("none in range"). Every candidate is
-    symbolically verified; in sampled mode spurious kernels trigger bounded
-    resampling with more rows.
+    when the range is exhausted ("none in range"). Each degree takes rounds:
+    one in symbolic mode, up to MAX_RESAMPLE_ROUNDS in sampled mode, where
+    round r samples (r + 1) * ncols + SAMPLE_MARGIN rows. A round ends the
+    degree when the kernel is trivial, and the search when the first kernel
+    vector passes symbolic verification; when every round's fails, it raises
+    VerificationError.
     """
     p = pmap.field.p
+    rounds = 1 if cfg.mode == "symbolic" else MAX_RESAMPLE_ROUNDS
     for D in range(cfg.d_min, cfg.d_max + 1):
-        if cfg.mode == "symbolic":
-            A, basis = composition_matrix_symbolic(pmap, D)
-            ker = kernel(A, p)
-            if not ker:
-                continue
-            q = vector_to_poly(ker[0], basis, pmap.field)
-            if not poly_compose(q, pmap).is_zero():
-                raise VerificationError(f"symbolic kernel vector at D={D} does not annihilate {pmap.label}")
-            verification = {
-                "symbolic_verified": True,
-                "kernel_dim": len(ker),
-                "rows": int(A.shape[0]),
-            }
-            return AnnihilatorCertificate(pmap, q, D, cfg.mode, cfg.seed, verification)
-        # sampled mode
         ncols = math.comb(pmap.out_arity + D, pmap.out_arity)
-        rows = ncols + SAMPLE_MARGIN
-        for round_no in range(MAX_RESAMPLE_ROUNDS):
-            A, basis = composition_matrix_sampled(pmap, D, rows, f"{cfg.seed}:round{round_no}")
+        for r in range(rounds):
+            if cfg.mode == "symbolic":
+                A, basis = composition_matrix_symbolic(pmap, D)
+            else:  # a spurious kernel is retried with ncols more rows
+                A, basis = composition_matrix_sampled(pmap, D, (r + 1) * ncols + SAMPLE_MARGIN, f"{cfg.seed}:round{r}")
             ker = kernel(A, p)
             if not ker:
                 break
             q = vector_to_poly(ker[0], basis, pmap.field)
             if poly_compose(q, pmap).is_zero():
-                verification = {
-                    "symbolic_verified": True,
-                    "kernel_dim": len(ker),
-                    "rows": rows,
-                    "rounds": round_no + 1,
-                }
+                counts = {"kernel_dim": len(ker), "rows": int(A.shape[0]), "rounds": r + 1}
+                verification = {"symbolic_verified": True, **{k: counts[k] for k in _COUNTS[cfg.mode]}}
                 return AnnihilatorCertificate(pmap, q, D, cfg.mode, cfg.seed, verification)
-            rows += ncols  # spurious kernel: densify and retry
         else:
-            raise SampledVerificationError(
-                f"sampled kernels at D={D} kept failing symbolic verification; use symbolic mode"
-            )
+            raise VerificationError(f"{cfg.mode} kernel vector at D={D} does not annihilate {pmap.label} after {rounds} round(s)")
     return None

@@ -1,4 +1,5 @@
-"""Certificate verification and end-user rigidity / lower-bound certificates.
+"""Certificates and their verification: the annihilator certificate that
+solve writes, and the rigidity / lower-bound certificates built on it.
 
 An annihilator Q for a universal map P proves non-membership in the image:
 Q(M) != 0 means M is not of the bounded-complexity form P parameterizes.
@@ -10,13 +11,95 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .annihilator import AnnihilatorCertificate
 from .generators import bound_map, map_spec
 from .oracle import DenseMatrix
 from .poly import MultiPoly, PolyMap, poly_compose
+
+DEGREE_SEARCH_CAP = 64  # the largest D a certificate may record, and so solve may search
+MAX_RESAMPLE_ROUNDS = 4  # the most sampled rounds solve takes at one D
+_CERT_KEYS = {"kind", "label", "p", "map", "D", "mode", "seed", "Q", "verification"}
+_COUNTS = {"symbolic": ("kernel_dim", "rows"), "sampled": ("kernel_dim", "rows", "rounds")}  # per mode
+
+
+@dataclass(frozen=True)
+class AnnihilatorCertificate:
+    """A nonzero Q with Q o P == 0, plus how it was found and verified."""
+
+    pmap: PolyMap
+    q: MultiPoly
+    degree: int
+    mode: str
+    seed: int
+    verification: dict
+    # the document from_json read; None when built in memory or by dataclasses.replace
+    doc: dict | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def label(self) -> str:
+        return self.pmap.label
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": "annihilator",
+            "label": self.pmap.label,
+            "p": self.pmap.field.p,
+            "map": self.pmap.to_json_dict(),
+            "D": self.degree,
+            "mode": self.mode,
+            "seed": self.seed,
+            "Q": self.q.to_json_dict(),
+            "verification": self.verification,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "AnnihilatorCertificate":
+        """from_json of the document's JSON text: the same checks, number types included."""
+        return cls.from_json(json.dumps(doc))
+
+    @classmethod
+    def from_json(cls, text: str) -> "AnnihilatorCertificate":
+        """The certificate of a document with exactly the fields and values solve
+        writes. A map labelled in the grammar is bound by comparison and never
+        parsed (generators.bound_map). Floats are refused as they are read and
+        the one boolean is symbolic_verified, so == compares only ints."""
+        doc = json.loads(text, parse_float=_refuse_float, parse_constant=_refuse_float)
+        if set(doc) != _CERT_KEYS or doc["kind"] != "annihilator" or doc["mode"] not in _COUNTS:
+            raise ValueError("not an annihilator certificate with the fields and a mode that solve writes")
+        v, counts = doc["verification"], _COUNTS[doc["mode"]]
+        if not isinstance(v, dict) or set(v) != {"symbolic_verified", *counts} or v["symbolic_verified"] is not True:
+            raise ValueError(f"verification record {v!r} does not fit a {doc['mode']} certificate")
+        if not all(type(v[k]) is int and v[k] >= 1 for k in counts) or v.get("rounds", 1) > MAX_RESAMPLE_ROUNDS:
+            raise ValueError(f"need positive int counts and rounds <= {MAX_RESAMPLE_ROUNDS}: {v}")
+        if type(doc["p"]) is not int or type(doc["D"]) is not int or type(doc["seed"]) is not int:
+            raise TypeError(f"certificate p, D and seed must be ints: {doc['p']!r}, {doc['D']!r}, {doc['seed']!r}")
+        pmap = bound_map(doc["map"])
+        if pmap is None:
+            pmap = PolyMap.from_json_dict(doc["map"])
+        elif text.count("true") != 1 or "false" in text:
+            raise TypeError("a JSON boolean stands where a certificate holds a number")
+        q = MultiPoly.from_json_dict(doc["Q"])
+        if q.to_json_dict() != doc["Q"]:
+            raise ValueError("Q is not written canonically: residues in [1, p) in graded lex order")
+        # bounds deg Q, and with it the cost of every check of Q o P
+        if not 1 <= doc["D"] <= DEGREE_SEARCH_CAP or q.degree() > doc["D"]:
+            raise ValueError(f"need deg Q <= D in 1..{DEGREE_SEARCH_CAP}: D={doc['D']}, deg Q={q.degree()}")
+        if doc["p"] != pmap.field.p or doc["label"] != pmap.label:
+            raise ValueError("certificate p or label contradicts its map")
+        if q.field != pmap.field or q.nvars != pmap.out_arity:
+            raise ValueError("Q does not fit the map: wrong field or number of variables")
+        cert = cls(pmap=pmap, q=q, degree=doc["D"], mode=doc["mode"], seed=doc["seed"], verification=v)
+        object.__setattr__(cert, "doc", doc)
+        return cert
+
+
+def _refuse_float(text: str):
+    raise TypeError(f"certificate numbers are integers, not {text}")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,9 @@ import os
 import stat
 import sys
 
-from .annihilator import (
-    AnnihilatorCertificate,
-    ResourceLimitError,
-    SolverConfig,
-    VerificationError,
-    find_annihilator,
-)
+from .annihilator import ResourceLimitError, SolverConfig, VerificationError, find_annihilator
 from .certify import (
+    AnnihilatorCertificate,
     certify_circuit_lower_bound,
     certify_rigid,
     verify_pit,

@@ -45,10 +45,11 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for a word-sized prime p. All values live in [0, p).
+    """The field F_p for a prime p < 2**31. All values live in [0, p).
 
     p must be an int (bool and float are refused, so that 101.0 never stands
-    in for 101)."""
+    in for 101). Below 2**31 a product of two residues fits int64, which the
+    arithmetic in numpy relies on."""
 
     p: int
 
@@ -57,6 +58,8 @@ class PrimeField:
             raise TypeError(f"modulus must be an int, got {self.p!r}")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        if self.p >= 2**31:
+            raise ValueError(f"modulus {self.p} is not below 2**31")
 
     def inv(self, a: int) -> int:
         a %= self.p

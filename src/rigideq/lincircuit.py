@@ -9,14 +9,13 @@ small-enough circuit embeds as a specialization.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 from .field import PrimeField
 from .generators import SVParams, sv_map, sv_selector
-from .poly import MultiPoly, PolyMap, packed_weighted_sum
+from .poly import MultiPoly, PolyMap, lagrange_weights, packed_weighted_sum
 
 
 class CircuitError(ValueError):
@@ -203,20 +202,6 @@ def universal_map(graph: UniversalGraph) -> PolyMap:
     return PolyMap(F, nvars, tuple(coords), label=f"universal({n},{graph.s_budget},{graph.L},{graph.w})")
 
 
-@functools.lru_cache(maxsize=16)
-def _lagrange_weights(field: PrimeField, alphas: tuple) -> tuple:
-    """w_i = 1 / prod_{j != i} (alpha_i - alpha_j): the Lagrange denominators of one graph's nodes."""
-    p = field.p
-    weights = []
-    for i, a in enumerate(alphas):
-        d = 1
-        for j, b in enumerate(alphas):
-            if j != i:
-                d = d * (a - b) % p
-        weights.append(field.inv(d))
-    return tuple(weights)
-
-
 def universal_eval(graph: UniversalGraph, x_vals: Sequence[int], y_vals: Sequence[int]) -> list[list[int]]:
     """Evaluate U at a point numerically: n x n matrix, entry [i][j]."""
     F, n, k = graph.field, graph.n, graph.s_budget
@@ -224,7 +209,7 @@ def universal_eval(graph: UniversalGraph, x_vals: Sequence[int], y_vals: Sequenc
         raise ValueError(f"need k={k} x-values and y-values")
     p, s = F.p, graph.edge_count
     alphas = graph.sv_params.alphas
-    weights = _lagrange_weights(F, alphas)
+    weights = lagrange_weights(F, alphas)
     # u_i(t) = w_i * prod_{j != i} (t - alpha_j), from prefix and suffix
     # products with no division, so that t = alpha_i still gives delta_ij
     edge_vals = [0] * s

@@ -43,6 +43,7 @@ by construction and return them through MultiPoly._trusted, which checks nothing
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -176,12 +177,12 @@ class MultiPoly:
     def __len__(self):  # bool() falls back on it
         return len(self.terms)
 
-    def _term_arrays(self, cdtype) -> tuple[np.ndarray, np.ndarray]:
+    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(E, C): the exponent vectors of the terms as the rows of E and
-        their coefficients in C, of dtype cdtype, in the order of terms."""
+        their int64 coefficients in C, in the order of terms."""
         n = len(self.terms)
         E = np.fromiter(chain.from_iterable(self.terms), dtype=np.int64, count=n * self.nvars).reshape(n, self.nvars)
-        return E, np.array(list(self.terms.values()), dtype=cdtype)
+        return E, np.array(list(self.terms.values()), dtype=np.int64)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -334,9 +335,8 @@ class _ArrayPoly(MultiPoly):
         E = self._EC[0]
         return int(sum(E.T, np.zeros(len(E), dtype=np.int64)).max())
 
-    def _term_arrays(self, cdtype) -> tuple[np.ndarray, np.ndarray]:
-        E, C = self._EC
-        return E, C.astype(cdtype, copy=False)
+    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._EC
 
 
 def _dot_mod(A, B, bound: int, p: int, acc):
@@ -381,9 +381,8 @@ def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field:
     pairs = [(a, b) for a, b in pairs if a and b]
     if not pairs:
         return MultiPoly._trusted(field, nvars, {})
-    cdtype = np.int64 if field.p <= 2**63 else object
-    EA, CA, OA = _stack([a for a, _ in pairs], cdtype)
-    EB, CB, OB = _stack([b for _, b in pairs], cdtype)
+    EA, CA, OA = _stack([a for a, _ in pairs])
+    EB, CB, OB = _stack([b for _, b in pairs])
     # the largest exponent of each variable in any product, widened before
     # adding since exponents may be stored in uint8
     bound = np.maximum.reduceat(EA, OA[:-1]).astype(np.int64) + np.maximum.reduceat(EB, OB[:-1]).astype(np.int64)
@@ -434,9 +433,9 @@ class _Layout:
     product add. A word holds the key above the vbits bits of a residue
     mod p, and a tag above both, so that one sort orders terms by tag, then
     key. Keys and words are uint64 when a key and a residue fit in one
-    word and a product of two residues fits in int64 (``fits``); otherwise
-    keys and coefficients are Python ints in object arrays, and products
-    are summed in dicts (_dict_products), never by _collect.
+    word (``fits``); otherwise keys are Python ints in object arrays, and
+    products are summed in dicts (_dict_products), never by _collect.
+    Coefficients are int64: a product of two residues mod p < 2**31 fits.
     """
 
     def __init__(self, p: int, bound: Sequence[int]):
@@ -445,9 +444,8 @@ class _Layout:
         self.bits = [max(1, x.bit_length()) for x in bound]
         self.shifts = list(accumulate(self.bits, initial=0))[:-1]
         self.kbits = sum(self.bits)
-        self.fits = self.vbits + self.kbits <= 64 and (p - 1) ** 2 < 2**63
+        self.fits = self.vbits + self.kbits <= 64
         self.dtype = np.uint64 if self.fits else object  # of keys and words
-        self.cdtype = np.int64 if self.fits else object  # of coefficients
         self.scalar = np.uint64 if self.fits else int  # shift counts and masks
         # of exponents: uint8 while they are below 256, else int64 while the
         # nvars exponents of a term, each below 2**top, sum below 2**63
@@ -469,7 +467,7 @@ class _Layout:
         zero, its terms in their order."""
         if not len(keys):
             return MultiPoly._trusted(field, nvars, {})
-        keys, coeffs = np.asarray(keys, dtype=self.dtype), np.asarray(coeffs, dtype=self.cdtype)
+        keys, coeffs = np.asarray(keys, dtype=self.dtype), np.asarray(coeffs, dtype=np.int64)
         s = self.scalar
         E = np.empty((len(keys), nvars), dtype=self.edtype)
         for i, (k, w) in enumerate(zip(self.shifts, self.bits)):
@@ -477,10 +475,10 @@ class _Layout:
         return _ArrayPoly(field, nvars, E, coeffs)
 
 
-def _stack(polys: Sequence[MultiPoly], cdtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack(polys: Sequence[MultiPoly]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E, C, offsets): the _term_arrays of polys one after another, those of
     polys[j] in rows offsets[j]:offsets[j + 1]."""
-    arrays = [q._term_arrays(cdtype) for q in polys]
+    arrays = [q._term_arrays() for q in polys]
     offsets = np.array(list(accumulate((len(C) for _, C in arrays), initial=0)), dtype=np.intp)
     return np.concatenate([E for E, _ in arrays]), np.concatenate([C for _, C in arrays]), offsets
 
@@ -537,7 +535,7 @@ def _arrays(polys, layout: _Layout) -> _Packed:
     if isinstance(polys, _Packed):
         return polys
     return _Packed(np.array(list(chain.from_iterable(polys)), dtype=layout.dtype),
-                   np.array(list(chain.from_iterable(map(dict.values, polys))), dtype=layout.cdtype),
+                   np.array(list(chain.from_iterable(map(dict.values, polys))), dtype=np.int64),
                    np.array(list(accumulate(map(len, polys), initial=0)), dtype=np.intp))
 
 
@@ -638,31 +636,27 @@ class PolyMap:
     def evaluate_many(self, points: Sequence[Sequence[int]]) -> np.ndarray:
         """(R, N) array whose row t holds every coordinate at points[t].
 
-        Entries are residues mod p: int64 while the products and sums below
-        fit in int64, else Python ints in an object array. All terms are
-        evaluated together, in chunks of rows of at most _EVAL_CELLS values.
-        Consecutive variables share one power table, indexed mixed-radix (the
-        last variable fastest), while it has at most one entry per term and
+        Entries are int64 residues mod p. All terms are evaluated together,
+        in chunks of rows of at most _EVAL_CELLS values. Consecutive
+        variables share one power table, indexed mixed-radix (the last
+        variable fastest), while it has at most one entry per term and
         _EVAL_CELLS per chunk. A term's value is its coefficient times one
         entry of each table, reduced mod p only where a product or the sum of
         a coordinate's values could otherwise leave int64.
         """
         p, m = self.field.p, self.in_arity
         longest = max(map(len, self.coordinates), default=0)
-        # the overflow guards of _products: products of two residues,
-        # then sums of at most `longest` residues
-        dtype = np.int64 if max((p - 1) ** 2, longest * (p - 1)) < 2**63 else object
         rows = []
         for point in points:
             if len(point) != m:
                 raise ValueError(f"arity mismatch: point of length {len(point)}, in_arity={m}")
             rows.append([v % p for v in point])
-        X = np.array(rows, dtype=dtype).reshape(len(rows), m)
+        X = np.array(rows, dtype=np.int64).reshape(len(rows), m)
         if not self.coordinates:
-            return np.zeros((len(X), 0), dtype=dtype)
+            return np.zeros((len(X), 0), dtype=np.int64)
         # every coordinate's terms in one array, coordinate j's in columns
         # offsets[j]:offsets[j + 1]; a row of exponents per variable
-        E, C, offsets = _stack(self.coordinates, dtype)
+        E, C, offsets = _stack(self.coordinates)
         E = np.ascontiguousarray(E.T)
         top = E.max(axis=1, initial=0).tolist()  # the largest exponent of each variable
         step = max(1, _EVAL_CELLS // max(len(C), 1))
@@ -680,15 +674,15 @@ class PolyMap:
         # values stay below cap, so that a sum of `longest` of them fits int64
         cap = (2**63 - 1) // max(longest, 1)
         nonempty = np.flatnonzero(np.diff(offsets))
-        out = np.zeros((len(X), self.out_arity), dtype=dtype)
+        out = np.zeros((len(X), self.out_arity), dtype=np.int64)
         for start in range(0, len(X), step):
             x = X[start:start + step]
             values, bound = np.broadcast_to(C, (len(x), len(C))), p - 1
             for variables, entry in zip(groups, index):
                 # table[t, entry] = prod of x[t, i]**e_i mod p over the variables
-                table = np.ones((len(x), 1), dtype=dtype)
+                table = np.ones((len(x), 1), dtype=np.int64)
                 for i in variables:
-                    powers = np.ones((len(x), top[i] + 1), dtype=dtype)
+                    powers = np.ones((len(x), top[i] + 1), dtype=np.int64)
                     for k in range(1, top[i] + 1):
                         powers[:, k] = powers[:, k - 1] * x[:, i] % p
                     table = (table[:, :, None] * powers[:, None, :]).reshape(len(x), -1) % p
@@ -815,7 +809,7 @@ def poly_compose(q: MultiPoly, pmap: PolyMap) -> MultiPoly:
         result = layout.unpack(list(sums), list(sums.values()), field, m)
     else:
         images = _concat(levels, layout)
-        weights = np.repeat(np.array(weights, dtype=layout.cdtype), np.diff(images.offsets))
+        weights = np.repeat(np.array(weights, dtype=np.int64), np.diff(images.offsets))
         used = weights != 0
         coeffs = images.coeffs[used] * weights[used] % field.p
         words = (images.keys[used] << layout.scalar(layout.vbits)) | coeffs.astype(layout.dtype)
@@ -851,33 +845,44 @@ def monomial_basis(nvars: int, max_degree: int) -> list[tuple]:
     return basis
 
 
+def _master(points: Sequence[int], p: int) -> list[int]:
+    """Coefficients, the constant first, of prod_j (z - a_j) mod p."""
+    m = [1]
+    for a in points:
+        m = [(lo - a * hi) % p for lo, hi in zip([0] + m, m + [0])]
+    return m
+
+
+@functools.lru_cache(maxsize=16)
+def lagrange_weights(field: PrimeField, points: tuple) -> tuple:
+    """w_i = 1 / prod_{j != i} (a_i - a_j) for distinct residues a_j: the
+    Lagrange denominators, inverted, each the derivative of prod_j (z - a_j)
+    at a_i by Horner's rule. Cached per (field, points): universal_eval
+    needs them at every evaluation of one graph."""
+    p = field.p
+    derivative = [k * c % p for k, c in enumerate(_master(points, p))][:0:-1]  # the top coefficient first
+    return tuple(field.inv(functools.reduce(lambda acc, c: (acc * a + c) % p, derivative, 0)) for a in points)
+
+
 def lagrange_basis(field: PrimeField, points: Sequence[int]) -> list[MultiPoly]:
-    """Univariate Lagrange interpolation basis u_i with u_i(a_j) = delta_ij."""
+    """Univariate Lagrange interpolation basis u_i with u_i(a_j) = delta_ij:
+    u_i = w_i * prod_{j != i} (z - a_j), the master polynomial prod_j (z - a_j)
+    divided by z - a_i synthetically, times the weight of lagrange_weights."""
     n = len(points)
     if field.p <= n:
         raise ValueError(f"field too small: p={field.p} but {n} interpolation points need p > {n}")
-    pts = [a % field.p for a in points]
+    p = field.p
+    pts = tuple(a % p for a in points)
     if len(set(pts)) != n:
         raise ValueError("repeated interpolation points")
-    p = field.p
+    master = _master(pts, p)
     basis = []
-    for i, ai in enumerate(pts):
-        # numerator prod_{j != i} (z - a_j), dense coefficient list
-        coeffs = [1]
-        for j, aj in enumerate(pts):
-            if j == i:
-                continue
-            nxt = [0] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k + 1] = (nxt[k + 1] + c) % p
-                nxt[k] = (nxt[k] - c * aj) % p
-            coeffs = nxt
-        denom = 1
-        for j, aj in enumerate(pts):
-            if j != i:
-                denom = denom * (ai - aj) % p
-        scale = field.inv(denom)
-        basis.append(MultiPoly(field, 1, {(k,): c * scale % p for k, c in enumerate(coeffs)}))
+    for a, w in zip(pts, lagrange_weights(field, pts)):
+        quotient = [0] * n  # master = (z - a) * quotient, the top coefficient down
+        quotient[-1] = master[n]
+        for k in range(n - 1, 0, -1):
+            quotient[k - 1] = (master[k] + a * quotient[k]) % p
+        basis.append(MultiPoly._trusted(field, 1, {(k,): r for k, c in enumerate(quotient) if (r := c * w % p)}))
     return basis
 
 

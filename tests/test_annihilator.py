@@ -446,6 +446,37 @@ def test_symbolic_verification_failure_raises(f101, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_sampled_resample_rounds(f101, monkeypatch):
+    """A spurious sampled kernel is retried with ncols more rows: round r
+    samples (r + 1) * ncols + SAMPLE_MARGIN. On rank(2,1) at D = 2 (ncols =
+    15) a check of Q that fails once costs one round; one that always fails
+    raises after MAX_RESAMPLE_ROUNDS builds, of 31, 46, 61 and 76 rows."""
+    real, build = annihilator.poly_compose, annihilator.composition_matrix_sampled
+    failures, builds = [1], []
+
+    def forged(q, pmap):
+        if failures[0]:
+            failures[0] -= 1
+            return real(q, pmap) + 1
+        return real(q, pmap)
+
+    def spy(pmap, D, rows, seed):
+        builds.append((D, rows))
+        return build(pmap, D, rows, seed)
+
+    monkeypatch.setattr(annihilator, "poly_compose", forged)
+    monkeypatch.setattr(annihilator, "composition_matrix_sampled", spy)
+    pmap, cfg = rank_map(f101, 2, 1), SolverConfig(mode="sampled", d_max=2)
+    cert = find_annihilator(pmap, cfg)
+    assert cert.degree == 2 and cert.verification["rounds"] == 2 and cert.verification["rows"] == 2 * 15 + 16
+    assert builds == [(1, 21), (2, 31), (2, 46)]
+    failures[0], builds[:] = 10**9, []
+    with pytest.raises(VerificationError, match="does not annihilate"):
+        find_annihilator(pmap, cfg)
+    assert builds == [(1, 21)] + [(2, rows) for rows in (31, 46, 61, 76)]
+    assert len(builds) == 1 + annihilator.MAX_RESAMPLE_ROUNDS
+
+
 def test_solve_under_python_O_is_byte_identical():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -477,6 +508,13 @@ def test_sampled_symbolic_agreement(f101):
         stacked = np.array(ker_sym + ker_smp, dtype=np.int64)
         dim_union = len(stacked) - len(kernel(stacked.T, f101.p)) if len(stacked) else 0
         assert dim_union == len(ker_sym)
+    # the solver's two modes write the same D, Q and kernel dimension
+    for spec in ("rank(2,1)", "rank(3,2)", "tensor(3,3,1)", "rigidity(3,1,0)", "sv(6,2)", "support(3,1,[1,1])"):
+        pmap = parse_map_spec(f101, spec)
+        sym, smp = (find_annihilator(pmap, SolverConfig(mode=mode, d_max=3)) for mode in ("symbolic", "sampled"))
+        assert sym is not None and smp is not None, spec
+        assert (sym.degree, sym.q.to_json_dict(), sym.verification["kernel_dim"]) == (
+            smp.degree, smp.q.to_json_dict(), smp.verification["kernel_dim"]), spec
 
 
 def test_minimality_monotonicity(f101):

@@ -44,6 +44,22 @@ def test_genmap_field_too_small(capsys):
     assert "field too small" in capsys.readouterr().err
 
 
+def test_moduli_from_2_31_are_refused(tmp_path, rigidity_cert_file, capsys):
+    # the least prime above 2**31: 64 as a -p or in a matrix file, 4 in a certificate
+    assert run("genmap", "--map", "rank(2,1)", "-p", "2147483659") == 64
+    assert "not below 2**31" in capsys.readouterr().err
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2147483659 2 2\n1 0\n0 1\n")
+    assert run("certify", "--in", str(matrix), "--cert", str(rigidity_cert_file)) == 64
+    assert "not below 2**31" in capsys.readouterr().err
+    doc = json.loads(rigidity_cert_file.read_text())
+    _word_overflow_p(doc)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    assert run("verify", "--cert", str(forged)) == 4
+    assert "not below 2**31" in capsys.readouterr().err
+
+
 def test_genmap_needs_prime(capsys):
     assert run("genmap", "--map", "rank(2,1)") == 64
 
@@ -170,6 +186,12 @@ def _huge_degree(doc):
     doc["D"] = 10**9
 
 
+def _word_overflow_p(doc):
+    # every p of the certificate the least prime above 2**31, which no PrimeField admits
+    for part in [doc, doc["map"], doc["Q"], *doc["map"]["coords"]]:
+        part["p"] = 2147483659
+
+
 def _malformed_certs(tmp_path, cert_file):
     """Certificates with no Q, with a Q.nvars its exponents contradict, with
     a top-level p its map contradicts, with a verification record that is
@@ -182,9 +204,10 @@ def _malformed_certs(tmp_path, cert_file):
     another kind or mode, a seed that is not an int, a verification record
     with a key too many or too few for its mode, symbolic_verified other
     than true, counts that are not positive ints, and rounds outside
-    1..MAX_RESAMPLE_ROUNDS. Last, values that are equal to the canonical ones
+    1..MAX_RESAMPLE_ROUNDS. Then values that are equal to the canonical ones
     but not written as solve writes them: a map or Q coefficient of p + 1,
-    and Q's terms out of graded lex order."""
+    and Q's terms out of graded lex order. Last, every p rewritten to a prime
+    above 2**31."""
     paths = []
     for name, forge in (
         ("no-q", lambda d: d.pop("Q")),
@@ -222,6 +245,7 @@ def _malformed_certs(tmp_path, cert_file):
         ("map-coefficient-p-plus-1", lambda d: d["map"]["coords"][0]["terms"][0].update(c=d["p"] + 1)),
         ("q-coefficient-p-plus-1", lambda d: d["Q"]["terms"][0].update(c=d["Q"]["terms"][0]["c"] + d["p"])),
         ("q-terms-permuted", lambda d: d["Q"]["terms"].reverse()),
+        ("p-above-2-31", _word_overflow_p),
     ):
         doc = json.loads(cert_file.read_text())
         forge(doc)

@@ -19,6 +19,14 @@ def test_prime_field_rejects_composite():
         PrimeField(1)
 
 
+def test_prime_field_refuses_moduli_from_2_31():
+    # a product of two residues must fit int64; 2147483659 is the least prime above 2**31
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+    assert is_prime(2147483659)
+    with pytest.raises(ValueError, match="not below 2"):
+        PrimeField(2147483659)
+
+
 def test_inverse_examples():
     F5 = PrimeField(5)
     assert F5.inv(1) == 1

@@ -254,11 +254,6 @@ def test_packed_weighted_sum_matches_naive(f101, monkeypatch):
     # 31-bit residue: the dict branch takes over
     pairs = [(_dense_poly(rng, big_p, 12, 160, 9), _dense_poly(rng, big_p, 12, 160, 9)) for _ in range(2)]
     check(pairs, big_p, 12, packed=False)
-    # above 2**32, (p - 1)**2 leaves int64 and the dict branch takes over
-    huge_p = PrimeField(2**32 + 15)
-    pairs = [(_dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1),
-              _dense_poly(rng, huge_p, 3, 160, 9, coeff=huge_p.p - 1)) for _ in range(2)]
-    check(pairs, huge_p, 3, packed=False)
 
 
 def test_array_born_matches_dict_born(f101, monkeypatch):
@@ -562,7 +557,7 @@ def _scalar_values(pmap, points):
 
 def test_evaluate_many_matches_scalar():
     rng = random.Random("poly:evaluate_many")
-    for p in (2, 101, 10007, 2**31 - 1, 2**32 + 15):
+    for p in (2, 101, 10007, 2**31 - 1):
         field = PrimeField(p)
         for trial in range(4):
             m = rng.randrange(1, 5)
@@ -585,8 +580,8 @@ def test_evaluate_many_matches_scalar():
         assert pmap.evaluate_many([]).shape == (0, 5)
         with pytest.raises(ValueError, match="arity"):
             pmap.evaluate_many([[0] * (m + 1)])
-    # int64 up to (p - 1)**2 < 2**63, Python ints above
-    assert values.dtype == object and pmap.evaluate_many(points[:1]).dtype == object
+    # int64 for every modulus a PrimeField admits, the largest included
+    assert values.dtype == np.int64 and pmap.evaluate_many(points[:1]).dtype == np.int64
     assert PolyMap(PrimeField(2**31 - 1), 1, ()).evaluate_many([[5]]).dtype == np.int64
 
     # the real universal(2,1,1,1) map
@@ -605,13 +600,13 @@ def test_evaluate_many_grouped_tables(cells, monkeypatch):
     At the default budget the terms bound the tables; 200 cells make chunks
     of two rows, which 7 points cross, and 100 entries a row; 50 cells make
     one row a chunk and 50 entries; 7 leave each variable of the first map a
-    table of its own. Every value must equal MultiPoly.evaluate, in int64
-    (at p = 101 every product of residues is summed unreduced, at larger p
-    some are reduced first) and in Python ints."""
+    table of its own. Every value must equal MultiPoly.evaluate, in int64:
+    at p = 101 every product of residues is summed unreduced, at larger p
+    some are reduced first."""
     if cells is not None:
         monkeypatch.setattr(poly, "_EVAL_CELLS", cells)
     rng = random.Random(f"poly:grouped:{cells}")
-    for p in (101, 10007, 2**31 - 1, 2**32 + 15):
+    for p in (101, 10007, 2**31 - 1):
         field = PrimeField(p)
         for m, top in ((6, 5), (8, 1)):
             coords = [_dense_poly(rng, field, m, 30, top) for _ in range(3)]
@@ -619,7 +614,7 @@ def test_evaluate_many_grouped_tables(cells, monkeypatch):
             pmap = PolyMap(field, m, tuple(coords))
             points = [[rng.randrange(p) for _ in range(m)] for _ in range(7)]
             values = pmap.evaluate_many(points)
-            assert values.dtype == (object if p > 2**32 else np.int64)
+            assert values.dtype == np.int64
             assert values.tolist() == _scalar_values(pmap, points)
 
 
@@ -654,15 +649,22 @@ def test_lagrange_basis_f5():
 
 
 def test_lagrange_basis_properties():
-    F = PrimeField(101)
+    """u_i(a_j) = delta_ij and deg u_i <= N - 1 determine the basis, so they
+    are all there is to check, on seeded point sets up to p = 2**31 - 1; and
+    lagrange_weights, which universal_eval shares, are the inverses of
+    prod_{j != i} (a_i - a_j)."""
     rng = random.Random("poly:lagrange")
-    for _ in range(10):
-        pts = rng.sample(range(F.p), rng.randrange(2, 8))
-        u = lagrange_basis(F, pts)
-        for i, ui in enumerate(u):
-            assert ui.degree() == len(pts) - 1
-            for j, a in enumerate(pts):
-                assert ui.evaluate([a]) == (1 if i == j else 0)
+    for p in (101, 10007, 2**31 - 1):
+        F = PrimeField(p)
+        for n in [1, 40] + [rng.randrange(2, 8) for _ in range(10)]:
+            pts = rng.sample(range(F.p), n)
+            u = lagrange_basis(F, pts)
+            assert len(u) == n
+            for i, ui in enumerate(u):
+                assert ui.nvars == 1 and ui.degree() == n - 1
+                assert [ui.evaluate([a]) for a in pts] == [int(i == j) for j in range(n)]
+            for a, w in zip(pts, poly.lagrange_weights(F, tuple(pts))):
+                assert w * math.prod(a - b for b in pts if b != a) % p == 1
 
 
 def test_lagrange_basis_errors():
