@@ -19,6 +19,7 @@ from .generators import (
     rank_map,
     rigidity_map,
     rigidity_witness,
+    sv_input,
     sv_map,
     sv_selector,
     tensor_map,

@@ -1,19 +1,56 @@
 """Universal polynomial maps: SV generator, rigidity maps, tensor maps.
 
 All coordinate orders are deterministic: matrix outputs are row-major,
-tensor outputs are mixed-radix row-major, and SV interpolation points
-default to 0, 1, ..., N-1.
+tensor outputs are mixed-radix row-major, and SV interpolates coordinate i
+at the point i. Every builder writes clean term dicts (UV's from _uv_terms,
+SV's from _sv_terms) and wraps them in _polymap; sv_input encodes SV inputs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Mapping, Sequence
 
 from .field import PrimeField
 from .poly import MultiPoly, PolyMap, lagrange_basis
+
+
+def _polymap(field: PrimeField, nvars: int, coords: list[dict], label: str) -> PolyMap:
+    """The labelled map whose coordinates have the clean term dicts coords."""
+    return PolyMap(field, nvars, tuple(MultiPoly._trusted(field, nvars, terms) for terms in coords), label)
+
+
+def _uv_terms(n: int, r: int, nvars: int) -> list[dict]:
+    """Term dicts of UV's n^2 coordinates, row-major, in nvars variables:
+    u (n x r) then v (r x n), both row-major, are the first 2nr."""
+    coords = []
+    for i in range(n):
+        for j in range(n):
+            terms = {}
+            for t in range(r):
+                e = [0] * nvars
+                e[i * r + t] = e[n * r + t * n + j] = 1
+                terms[tuple(e)] = 1
+            coords.append(terms)
+    return coords
+
+
+def _sv_terms(field: PrimeField, N: int, k: int, nvars: int, offset: int) -> list[dict]:
+    """Term dicts of SV_{N,k}'s N coordinates in nvars variables, x_j at
+    offset + j and y_j at offset + k + j: coordinate i is sum_j u_i(y_j) x_j
+    for the Lagrange basis u_i of the points 0..N-1."""
+    coords = []
+    for u in lagrange_basis(field, range(N)):
+        terms = {}
+        for j in range(k):
+            for (deg,), c in u.terms.items():
+                e = [0] * nvars
+                e[offset + j], e[offset + k + j] = 1, deg
+                terms[tuple(e)] = c
+        coords.append(terms)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -23,17 +60,12 @@ class SVParams:
     field: PrimeField
     N: int
     k: int
-    alphas: tuple = ()
 
     def __post_init__(self):
         if self.field.p <= self.N:
             raise ValueError(f"field too small: p={self.field.p}, need p > {self.N}")
         if not 1 <= self.k <= self.N:
             raise ValueError(f"need 1 <= k <= N, got k={self.k}, N={self.N}")
-        alphas = tuple(a % self.field.p for a in (self.alphas or range(self.N)))
-        if len(alphas) != self.N or len(set(alphas)) != self.N:
-            raise ValueError("alphas must be N pairwise distinct field elements")
-        object.__setattr__(self, "alphas", alphas)
 
 
 def sv_map(params: SVParams) -> PolyMap:
@@ -42,31 +74,33 @@ def sv_map(params: SVParams) -> PolyMap:
     Variable order: x_1..x_k then y_1..y_k. Every coordinate has degree <= N.
     """
     F, N, k = params.field, params.N, params.k
-    nvars = 2 * k
-    basis = lagrange_basis(F, params.alphas)
-    coords = []
-    for i in range(N):
-        terms: dict[tuple, int] = {}
-        for j in range(k):
-            for (deg,), c in basis[i].terms.items():
-                e = [0] * nvars
-                e[j] = 1
-                e[k + j] = deg
-                terms[tuple(e)] = (terms.get(tuple(e), 0) + c) % F.p
-        q = MultiPoly(F, nvars, terms)
-        if q.degree() > N:
-            raise AssertionError(f"SV coordinate {i} has degree {q.degree()} > N = {N}")
-        coords.append(q)
-    return PolyMap(F, nvars, tuple(coords), label=f"sv({N},{k})")
+    pmap = _polymap(F, 2 * k, _sv_terms(F, N, k, 2 * k, 0), f"sv({N},{k})")
+    if pmap.degree() > N:
+        raise AssertionError(f"an SV coordinate has degree {pmap.degree()} > N = {N}")
+    return pmap
 
 
 def sv_selector(params: SVParams, positions: Sequence[int]) -> tuple:
-    """y-assignment projecting x_j onto coordinate positions[j] (0-indexed)."""
+    """y-assignment projecting x_j onto coordinate positions[j] (0-indexed):
+    y_j is the interpolation point of that coordinate, which is its index."""
     if len(positions) != params.k:
         raise ValueError(f"need exactly k={params.k} positions")
-    if len(set(positions)) != len(positions):
-        raise ValueError("positions must be distinct")
-    return tuple(params.alphas[i] for i in positions)
+    if len({i for i in positions if 0 <= i < params.N}) != len(positions):
+        raise ValueError(f"positions must be distinct and in [0, {params.N})")
+    return tuple(positions)
+
+
+def sv_input(params: SVParams, values: Mapping[int, int]) -> tuple:
+    """(x, y) with SV_{N,k}(x, y) holding values[i] at each 0-indexed
+    coordinate i and 0 elsewhere. The support, at most k positions, is
+    padded to exactly k with the smallest positions not already used; x_j
+    is the value at its j-th position, ascending, and y_j selects it."""
+    k, p = params.k, params.field.p
+    if len(values) > k:
+        raise ValueError(f"{len(values)} positions are more than k={k}")
+    free = (i for i in range(params.N) if i not in values)
+    support = sorted([*values, *islice(free, k - len(values))])
+    return tuple(values.get(i, 0) % p for i in support), sv_selector(params, support)
 
 
 def rank_map(field: PrimeField, n: int, r: int) -> PolyMap:
@@ -77,8 +111,7 @@ def rank_map(field: PrimeField, n: int, r: int) -> PolyMap:
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    # the empty support adds nothing to UV
-    return PolyMap(field, 2 * n * r, fixed_support_map(field, n, r, []).coordinates, label=f"rank({n},{r})")
+    return _polymap(field, 2 * n * r, _uv_terms(n, r, 2 * n * r), f"rank({n},{r})")
 
 
 @dataclass(frozen=True)
@@ -110,28 +143,15 @@ def rigidity_map(params: RigidityParams) -> PolyMap:
     """
     F, n, r, k = params.field, params.n, params.r, params.k
     nvars = params.in_arity
-    uv = rank_map(F, n, r)
-    if k == 0:
-        # rank_map's variables are exactly the first 2nr
-        coords = uv.coordinates
-    else:
-        sv = sv_map(SVParams(F, n * n, k))
-        coords = [_pad_vars(q_uv, nvars, 0) + _pad_vars(q_sv, nvars, 2 * n * r)
-                  for q_uv, q_sv in zip(uv.coordinates, sv.coordinates)]
-    pmap = PolyMap(F, nvars, tuple(coords), label=f"rigidity({n},{r},{k})")
+    coords = _uv_terms(n, r, nvars)
+    if k:
+        # UV terms have no SV variable and SV terms have one x_j: no term is in both
+        for terms, sv in zip(coords, _sv_terms(F, n * n, k, nvars, 2 * n * r)):
+            terms.update(sv)
+    pmap = _polymap(F, nvars, coords, f"rigidity({n},{r},{k})")
     if pmap.degree() > max(2, n * n):
         raise AssertionError(f"rigidity map has degree {pmap.degree()} > {max(2, n * n)}")
     return pmap
-
-
-def _pad_vars(q: MultiPoly, nvars: int, offset: int) -> MultiPoly:
-    """Re-embed q into a larger variable set, shifting its variables by offset."""
-    terms = {}
-    for e, c in q.terms.items():
-        out = [0] * nvars
-        out[offset : offset + len(e)] = e
-        terms[tuple(out)] = c
-    return MultiPoly(q.field, nvars, terms)
 
 
 def rigidity_witness(
@@ -143,31 +163,16 @@ def rigidity_witness(
     """Input vector beta with rigidity_map(params)(beta) = U0 V0 + S.
 
     ``sparse`` maps 0-indexed (i, j) positions to the values of S; at most k
-    positions. The support is padded to exactly k with the smallest row-major
-    positions not already used.
+    positions, which sv_input pads to k at row-major positions.
     """
     F, n, r, k = params.field, params.n, params.r, params.k
-    if len(sparse) > k:
-        raise ValueError(f"sparse support larger than budget k={k}")
-    support = sorted(i * n + j for (i, j) in sparse)
-    pos = 0
-    while len(support) < k:
-        if pos not in support:
-            support.append(pos)
-        pos += 1
-    support.sort()
-    values = {i * n + j: v % F.p for (i, j), v in sparse.items()}
-    beta = []
-    for i in range(n):
-        for t in range(r):
-            beta.append(u0[i][t] % F.p)
-    for t in range(r):
-        for j in range(n):
-            beta.append(v0[t][j] % F.p)
-    if k:
-        sv_params = SVParams(F, n * n, k)
-        beta.extend(values.get(s, 0) for s in support)
-        beta.extend(sv_selector(sv_params, support))
+    if not all(0 <= i < n and 0 <= j < n for i, j in sparse):  # else two could share a row-major index
+        raise ValueError(f"sparse positions must lie in [0,{n}) x [0,{n})")
+    beta = [u0[i][t] % F.p for i in range(n) for t in range(r)]
+    beta += [v0[t][j] % F.p for t in range(r) for j in range(n)]
+    if k or sparse:  # SVParams refuses k = 0, so a nonempty S with it too
+        x, y = sv_input(SVParams(F, n * n, k), {i * n + j: v for (i, j), v in sparse.items()})
+        beta += x + y
     return tuple(beta)
 
 
@@ -189,23 +194,13 @@ def fixed_support_map(field: PrimeField, n: int, r: int, support: Sequence[tuple
             raise ValueError(f"position {(i, j)} outside [0,{n}) x [0,{n})")
     support = sorted(support)
     nvars = 2 * n * r + len(support)
-    var_of = {pos: 2 * n * r + t for t, pos in enumerate(support)}
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            terms: dict[tuple, int] = {}
-            for t in range(r):
-                e = [0] * nvars
-                e[i * r + t] += 1
-                e[n * r + t * n + j] += 1
-                terms[tuple(e)] = 1
-            if (i, j) in var_of:
-                e = [0] * nvars
-                e[var_of[(i, j)]] = 1
-                terms[tuple(e)] = 1
-            coords.append(MultiPoly._trusted(field, nvars, terms))  # clean by construction
+    coords = _uv_terms(n, r, nvars)
+    for t, (i, j) in enumerate(support):
+        e = [0] * nvars
+        e[2 * n * r + t] = 1
+        coords[i * n + j][tuple(e)] = 1
     sup_str = ";".join(f"{i + 1},{j + 1}" for i, j in support)
-    return PolyMap(field, nvars, tuple(coords), label=f"support({n},{r},[{sup_str}])")
+    return _polymap(field, nvars, coords, f"support({n},{r},[{sup_str}])")
 
 
 @dataclass(frozen=True)
@@ -241,13 +236,13 @@ def tensor_map(params: TensorParams) -> PolyMap:
     coords = []
     for digits in product(range(n), repeat=d):  # digits[c] = a_{c+1}, the last fastest
         terms = {}
-        for i in range(r):
+        for i in range(r):  # term i's variables are its own, so its monomial is too
             e = [0] * nvars
             for c in range(d):
-                e[c * r * n + i * n + digits[c]] += 1
-            terms[tuple(e)] = (terms.get(tuple(e), 0) + 1) % F.p
-        coords.append(MultiPoly(F, nvars, terms))
-    pmap = PolyMap(F, nvars, tuple(coords), label=f"tensor({n},{d},{r})")
+                e[c * r * n + i * n + digits[c]] = 1
+            terms[tuple(e)] = 1
+        coords.append(terms)
+    pmap = _polymap(F, nvars, coords, f"tensor({n},{d},{r})")
     if any(q.degree() != d for q in pmap.coordinates):
         raise AssertionError(f"a tensor map coordinate is not of degree d = {d}")
     return pmap

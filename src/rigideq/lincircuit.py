@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .field import PrimeField
-from .generators import SVParams, sv_map, sv_selector
+from .generators import SVParams, sv_input, sv_map
 from .poly import MultiPoly, PolyMap, lagrange_weights, packed_weighted_sum
 
 
@@ -140,16 +140,14 @@ def edge_count(n: int, L: int, w: int) -> int:
     return L * w * n + w * w * L * (L - 1) // 2 + n * (n + L * w)
 
 
-def universal_graph(field: PrimeField, n: int, s_budget: int, L: int | None = None, w: int | None = None) -> UniversalGraph:
-    """Build the universal graph; defaults L = w = s_budget.
+def universal_graph(field: PrimeField, n: int, s_budget: int, L: int, w: int) -> UniversalGraph:
+    """Build the universal graph of L internal layers of width w.
 
     Requires p > s' (the actual edge count) so that the SV labeling exists;
     that is checked before the edges are listed.
     """
     if s_budget < 1:
         raise ValueError("s_budget must be >= 1")
-    L = s_budget if L is None else L
-    w = s_budget if w is None else w
     if L < 1 or w < 1:
         raise ValueError("need L >= 1 and w >= 1")
     s_prime = edge_count(n, L, w)
@@ -208,20 +206,19 @@ def universal_eval(graph: UniversalGraph, x_vals: Sequence[int], y_vals: Sequenc
     if len(x_vals) != k or len(y_vals) != k:
         raise ValueError(f"need k={k} x-values and y-values")
     p, s = F.p, graph.edge_count
-    alphas = graph.sv_params.alphas
-    weights = lagrange_weights(F, alphas)
-    # u_i(t) = w_i * prod_{j != i} (t - alpha_j), from prefix and suffix
-    # products with no division, so that t = alpha_i still gives delta_ij
+    weights = lagrange_weights(F, tuple(range(s)))
+    # u_i(t) = w_i * prod_{j != i} (t - j), from prefix and suffix
+    # products with no division, so that t = i still gives delta_ij
     edge_vals = [0] * s
     for x, t in zip(x_vals, y_vals):
         x, t = x % p, t % p
         suffix = [1] * (s + 1)
         for j in range(s - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * (t - alphas[j]) % p
+            suffix[j] = suffix[j + 1] * (t - j) % p
         prefix = x
         for i in range(s):
             edge_vals[i] = (edge_vals[i] + prefix * suffix[i + 1] % p * weights[i]) % p
-            prefix = prefix * (t - alphas[i]) % p
+            prefix = prefix * (t - i) % p
     incoming: dict[tuple, list] = {}
     for idx, (src, dst) in enumerate(graph.edges):
         incoming.setdefault(dst, []).append((src, edge_vals[idx]))
@@ -290,25 +287,12 @@ def embed_circuit(circuit: LinearCircuit, graph: UniversalGraph) -> tuple:
         used_per_layer[layer] = slot + 1
 
     index = graph.edge_index()
-    edge_values: dict[int, int] = {}
-    p = graph.field.p
+    edge_values: dict[int, int] = {}  # sv_input reduces them mod p
     for s, d, lbl in circuit.edges:
-        gs, gd = placement[s], placement[d]
-        idx = index.get((gs, gd))
-        if idx is None:
-            raise CircuitError(f"embedded edge {gs}->{gd} missing from universal graph")
-        edge_values[idx] = (edge_values.get(idx, 0) + lbl) % p
-    support = sorted(edge_values)
-    pos = 0
-    while len(support) < graph.s_budget:
-        if pos not in edge_values:
-            support.append(pos)
-            edge_values[pos] = 0
-        pos += 1
-    support.sort()
-    x_vals = tuple(edge_values[idx] for idx in support)
-    y_vals = sv_selector(graph.sv_params, support)
-    return x_vals, y_vals
+        # every vertex sees all earlier layers, and s is placed below d
+        idx = index[placement[s], placement[d]]
+        edge_values[idx] = edge_values.get(idx, 0) + lbl
+    return sv_input(graph.sv_params, edge_values)
 
 
 def find_nonzero_point(q: MultiPoly, degree_bound: int) -> tuple:

@@ -37,8 +37,9 @@ share; MultiPoly.evaluate is the scalar evaluator of one polynomial.
 MultiPoly(...) validates its terms (nvars, exponents and coefficients are
 ints, exponent length and sign, coefficients reduced mod p, zeros dropped),
 since certificates come in through it.
-Arithmetic here, and generators.fixed_support_map, build terms that are clean
-by construction and return them through MultiPoly._trusted, which checks nothing.
+Arithmetic here, and every map builder of generators (through its one
+constructor, _polymap), build terms that are clean by construction and wrap
+them through MultiPoly._trusted, which checks nothing.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class MultiPoly:
         """A polynomial from terms that are already clean: exponent tuples of
         nvars Python ints >= 0 and coefficients in [1, p). Nothing is
         re-checked, so only code that builds such terms calls it (this module
-        and fixed_support_map); input from outside goes through MultiPoly(...)."""
+        and generators._polymap); input from outside goes through MultiPoly(...)."""
         poly = object.__new__(cls)
         poly._assign(field, nvars, terms)
         return poly
@@ -231,25 +232,13 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError(f"arity mismatch: point of length {len(point)}, nvars={self.nvars}")
         p = self.field.p
-        point = [v % p for v in point]
-        # per-variable power cache up to the max exponent seen
-        max_exp = [0] * self.nvars
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei > max_exp[i]:
-                    max_exp[i] = ei
-        pows = []
-        for i in range(self.nvars):
-            row = [1] * (max_exp[i] + 1)
-            for j in range(1, max_exp[i] + 1):
-                row[j] = row[j - 1] * point[i] % p
-            pows.append(row)
+        point = [int(v) % p for v in point]  # pow takes no numpy integer
         total = 0
         for e, c in self.terms.items():
             v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * pows[i][ei] % p
+            for x, ei in zip(point, e):
+                if ei:  # pow costs the bits of ei, where a table of powers would cost ei
+                    v = v * pow(x, ei, p) % p
             total = (total + v) % p
         return total
 
@@ -640,9 +629,11 @@ class PolyMap:
         in chunks of rows of at most _EVAL_CELLS values. Consecutive
         variables share one power table, indexed mixed-radix (the last
         variable fastest), while it has at most one entry per term and
-        _EVAL_CELLS per chunk. A term's value is its coefficient times one
-        entry of each table, reduced mod p only where a product or the sum of
-        a coordinate's values could otherwise leave int64.
+        _EVAL_CELLS per chunk; a variable whose exponents reach the number of
+        terms has powers only at those that occur (_powmod). A term's value
+        is its coefficient times one entry of each table, reduced mod p only
+        where a product or the sum of a coordinate's values could otherwise
+        leave int64.
         """
         p, m = self.field.p, self.in_arity
         longest = max(map(len, self.coordinates), default=0)
@@ -659,18 +650,20 @@ class PolyMap:
         E, C, offsets = _stack(self.coordinates)
         E = np.ascontiguousarray(E.T)
         top = E.max(axis=1, initial=0).tolist()  # the largest exponent of each variable
+        occur = {i: np.unique(E[i]) for i in range(m) if top[i] >= len(C)}
+        width = [len(occur[i]) if i in occur else top[i] + 1 for i in range(m)]
         step = max(1, _EVAL_CELLS // max(len(C), 1))
         # a table holds at most as many entries per row as there are terms,
         # and at most _EVAL_CELLS in a chunk of rows
         most = min(len(C), _EVAL_CELLS // max(1, min(len(X), step)))
         groups, index = [], []  # the variables of each table, its entry for each term
         for i in range(m):
-            if not groups or math.prod(top[j] + 1 for j in groups[-1]) * (top[i] + 1) > most:
+            if not groups or math.prod(width[j] for j in groups[-1]) * width[i] > most:
                 groups.append([])
                 index.append(np.zeros(len(C), dtype=np.intp))
             groups[-1].append(i)
-            index[-1] *= top[i] + 1
-            index[-1] += E[i]
+            index[-1] *= width[i]
+            index[-1] += np.searchsorted(occur[i], E[i]) if i in occur else E[i]
         # values stay below cap, so that a sum of `longest` of them fits int64
         cap = (2**63 - 1) // max(longest, 1)
         nonempty = np.flatnonzero(np.diff(offsets))
@@ -682,9 +675,12 @@ class PolyMap:
                 # table[t, entry] = prod of x[t, i]**e_i mod p over the variables
                 table = np.ones((len(x), 1), dtype=np.int64)
                 for i in variables:
-                    powers = np.ones((len(x), top[i] + 1), dtype=np.int64)
-                    for k in range(1, top[i] + 1):
-                        powers[:, k] = powers[:, k - 1] * x[:, i] % p
+                    if i in occur:
+                        powers = _powmod(x[:, i], occur[i], p)
+                    else:
+                        powers = np.ones((len(x), top[i] + 1), dtype=np.int64)
+                        for k in range(1, top[i] + 1):
+                            powers[:, k] = powers[:, k - 1] * x[:, i] % p
                     table = (table[:, :, None] * powers[:, None, :]).reshape(len(x), -1) % p
                 values, bound = values * table[:, entry], bound * (p - 1)
                 if bound * (p - 1) > cap:
@@ -711,6 +707,14 @@ class PolyMap:
         if pmap.out_arity != doc["N"]:
             raise ValueError("inconsistent coordinate count in serialized map")
         return pmap
+
+
+def _powmod(x: np.ndarray, e: np.ndarray, p: int) -> np.ndarray:
+    """x[t] ** e[j] mod p at [t, j] for residues x, squaring over e's bits."""
+    out = np.ones((len(x), len(e)), dtype=np.int64)
+    while e.any():
+        out, x, e = np.where(e & 1, out * x[:, None] % p, out), x * x % p, e >> 1
+    return out
 
 
 def _grlex_parent(e: tuple) -> tuple[int, tuple]:

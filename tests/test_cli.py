@@ -5,6 +5,7 @@ import json
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -147,6 +148,26 @@ def test_symbolic_certificate_bytes_pinned(tmp_path, spec):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_SHA256[spec]
 
 
+# genmap's stdout for maps with an SV part at an offset (k > 0), a nonempty
+# support and r > 1 tensor terms, as emitted before the builders shared one
+# clean term path.
+GENMAP_SHA256 = {
+    ("rigidity(3,1,1)", 101): "c14b6f3ca93cc42e6465d68bd77aa87bb586c1766bbf722e0af68c2e79e08af8",
+    ("rigidity(3,2,4)", 101): "b40b3370d8c33b674083a3f19a786b793dd8203e6cc5d00f9275249ae2555505",
+    ("support(3,1,[1,2;3,3])", 101): "de94224e14c489c1664f3b51dcb3fb64ebba0f62a548b4f8976f50e6725e9d17",
+    ("support(2,0,[1,1])", 101): "b8bed3a337600b6581215bc5910e8391372ec797b6cdcd75ee49ccbfd33b8e0d",
+    ("tensor(2,3,2)", 101): "ac5fcea60a35967c1876819a4276dacfec937cb6550355be2dc9e3a19944ab2f",
+    ("sv(9,3)", 101): "91daf18b839beb103b26021c29102b6c59e2771001011b69217b8e690d341483",
+    ("rigidity(3,1,1)", 10007): "924372510e7c20753e95bef2e8e03fcd2fe1b16190dcb7462a4ae940fc63e014",
+}
+
+
+@pytest.mark.parametrize("spec, p", sorted(GENMAP_SHA256))
+def test_genmap_bytes_pinned(capsys, spec, p):
+    assert run("genmap", "--map", spec, "-p", str(p)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GENMAP_SHA256[spec, p]
+
+
 # ---------------------------------------------------------------- certify / verify
 
 
@@ -180,10 +201,19 @@ def _float_exponents(doc):
 
 
 def _huge_degree(doc):
-    # deg Q = D = 10**9: only the cap on D refuses it
+    # deg Q = D = 10**9, with its term moved out of graded lex order
     e = doc["Q"]["terms"][0]["e"]
     e[:] = [10**9] + [0] * (len(e) - 1)
     doc["D"] = 10**9
+
+
+def _zero_q(tmp_path, cert_file):
+    """The certificate with a Q of no terms, which is canonical and loads."""
+    doc = json.loads(cert_file.read_text())
+    doc["Q"]["terms"] = []
+    path = tmp_path / "zero-q.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def _word_overflow_p(doc):
@@ -199,7 +229,9 @@ def _malformed_certs(tmp_path, cert_file):
     bool coefficient, a fractional exponent (whose grlex ancestors never
     reach the constant), integral floats for exponents, for every p, for
     nvars and for the map's m and N. Then a Q of degree above D, and D and
-    an exponent of 10**9, whose Q o P check would walk 10**9 grlex ancestors.
+    an exponent of 10**9, whose Q o P check would walk 10**9 grlex ancestors
+    (both out of graded lex order too), and a canonical Q under D = 0, D =
+    65 and D one below deg Q.
     Then fields that solve never writes: an extra or missing top-level key,
     another kind or mode, a seed that is not an int, a verification record
     with a key too many or too few for its mode, symbolic_verified other
@@ -228,6 +260,9 @@ def _malformed_certs(tmp_path, cert_file):
         ("bool-map-exponent", lambda d: d["map"]["coords"][0]["terms"][0]["e"].__setitem__(0, True)),
         ("q-above-D", lambda d: d["Q"]["terms"][0]["e"].__setitem__(0, d["Q"]["terms"][0]["e"][0] + d["D"])),
         ("huge-D", _huge_degree),
+        ("D-0", lambda d: d.update(D=0)),
+        ("D-65", lambda d: d.update(D=65)),
+        ("D-below-deg-q", lambda d: d.update(D=max(sum(t["e"]) for t in d["Q"]["terms"]) - 1)),
         ("extra-key", lambda d: d.update(extra=1)),
         ("no-seed", lambda d: d.pop("seed")),
         ("kind", lambda d: d.update(kind="rigidity")),
@@ -262,7 +297,7 @@ def test_certify_corrupted_cert(tmp_path, rigidity_cert_file, capsys):
     bad.write_text(json.dumps(doc))
     matrix = tmp_path / "m.txt"
     matrix.write_text("5 2 2\n1 0\n0 1\n")
-    for cert in [bad] + _malformed_certs(tmp_path, rigidity_cert_file):
+    for cert in [bad, _zero_q(tmp_path, rigidity_cert_file)] + _malformed_certs(tmp_path, rigidity_cert_file):
         assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
         assert "verification" in capsys.readouterr().err
     # the largest rounds a sampled certificate may record
@@ -343,6 +378,8 @@ def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
     bad.write_text(json.dumps(doc))
     assert run("verify", "--cert", str(bad)) == 4
     assert "failed" in capsys.readouterr().err
+    assert run("verify", "--cert", str(_zero_q(tmp_path, rigidity_cert_file))) == 4
+    assert "verification failed: Q is zero" in capsys.readouterr().err
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     for cert in [garbage] + _malformed_certs(tmp_path, rigidity_cert_file):
@@ -502,6 +539,31 @@ def test_a_label_outside_the_grammar_is_reported_unchecked(tmp_path, capsys):
     matrix = tmp_path / "m.txt"
     matrix.write_text("101 2 2\n1 0\n0 1\n")
     assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
+
+
+def test_huge_map_exponents_are_checked_in_bounded_memory(tmp_path, capsys):
+    """A map outside the grammar, (x1^(2^40), x1^(2^40)), with Q = y1 - y2.
+    Its points used to be evaluated on a table of every power of x1 up to
+    2^40, which failed to allocate 24 TiB: verify --trials and a sampled
+    solve exited 1, which reads as "not certified"."""
+    coord = {"nvars": 1, "p": 101, "terms": [{"c": 1, "e": [2**40]}]}
+    pmap = {"N": 2, "coords": [coord, coord], "label": "huge exponent", "m": 1, "p": 101}
+    q = {"nvars": 2, "p": 101, "terms": [{"c": 1, "e": [1, 0]}, {"c": 100, "e": [0, 1]}]}
+    doc = {"D": 1, "Q": q, "kind": "annihilator", "label": "huge exponent", "map": pmap, "mode": "symbolic",
+           "p": 101, "seed": 0, "verification": {"kernel_dim": 1, "rows": 1, "symbolic_verified": True}}
+    cert, mapfile, out = tmp_path / "cert.json", tmp_path / "map.json", tmp_path / "out.json"
+    cert.write_text(json.dumps(doc))
+    mapfile.write_text(json.dumps(pmap))
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="Schwartz-Zippel bound degenerates"):
+            assert run("verify", "--cert", str(cert), "--trials", "3") == 0
+        assert run("solve", "--in", str(mapfile), "--mode", "sampled", "--dmax", "1", "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert json.loads(out.read_text())["Q"] == q
 
 
 def test_no_certificate_label_opens_a_file(tmp_path, rigidity_cert_file, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from rigideq import (
     rank_map,
     rigidity_map,
     rigidity_witness,
+    sv_input,
     sv_map,
     sv_selector,
     tensor_map,
@@ -39,13 +40,10 @@ def test_sv_params_validation():
         SVParams(F5, 3, 0)
     with pytest.raises(ValueError):
         SVParams(F5, 3, 4)
-    with pytest.raises(ValueError, match="distinct"):
-        SVParams(F5, 3, 1, alphas=(0, 1, 1))
-    assert SVParams(F5, 3, 1).alphas == (0, 1, 2)
 
 
 def test_sv_example_n3_k1():
-    # N=3, k=1, alphas=(0,1,2) in F_5, substituting y1=1: coordinates (0, x1, 0)
+    # N=3, k=1, points (0,1,2) in F_5, substituting y1=1: coordinates (0, x1, 0)
     F5 = PrimeField(5)
     pmap = sv_map(SVParams(F5, 3, 1))
     assert pmap.in_arity == 2 and pmap.out_arity == 3
@@ -89,6 +87,24 @@ def test_sv_selector_validation():
         sv_selector(params, [1])
     with pytest.raises(ValueError, match="distinct"):
         sv_selector(params, [2, 2])
+    for outside in ([0, 5], [-1, 2]):
+        with pytest.raises(ValueError, match=r"in \[0, 5\)"):
+            sv_selector(params, outside)
+
+
+def test_sv_input_pads_the_support_with_the_smallest_free_positions():
+    F = PrimeField(13)
+    params = SVParams(F, 6, 3)
+    assert sv_input(params, {4: 20}) == ((0, 0, 7), (0, 1, 4))
+    assert sv_input(params, {0: 1, 2: 2}) == ((1, 0, 2), (0, 1, 2))
+    assert sv_input(params, {}) == ((0, 0, 0), (0, 1, 2))
+    assert sv_input(params, {5: 1, 3: 2, 1: 3}) == ((3, 2, 1), (1, 3, 5))
+    x, y = sv_input(params, {4: 20, 1: 5})
+    assert sv_map(params).evaluate(x + y) == [0, 5, 0, 0, 7, 0]
+    with pytest.raises(ValueError, match="more than k=3"):
+        sv_input(params, {0: 1, 1: 1, 2: 1, 3: 1})
+    with pytest.raises(ValueError, match=r"in \[0, 6\)"):
+        sv_input(params, {6: 1})
 
 
 # ---------------------------------------------------------------- rank map
@@ -173,6 +189,12 @@ def test_rigidity_witness_round_trip(f101):
                 uv = sum(u0[i][t] * v0[t][j] for t in range(r)) % f101.p
                 want = (uv + sparse.get((i, j), 0)) % f101.p
                 assert got[i * n + j] == want
+    # more sparse positions than k, with k = 1 and with k = 0, and positions
+    # off the matrix, (0, 2) of which has the row-major index of (1, 0)
+    for k, sparse, match in ((1, {(0, 0): 1, (1, 1): 2}, "k=1"), (0, {(0, 0): 1}, "k=0"),
+                             (2, {(0, 2): 1, (1, 0): 2}, "must lie in"), (1, {(-1, 1): 1}, "must lie in")):
+        with pytest.raises(ValueError, match=match):
+            rigidity_witness(RigidityParams(f101, 2, 1, k), [[1], [1]], [[1, 1]], sparse)
 
 
 def test_rigidity_images_decompose(f101):

@@ -234,7 +234,7 @@ def test_universal_eval_matches_symbolic(f101):
     rng = random.Random("lc:ueval")
     g = universal_graph(f101, 2, 2, L=2, w=2)
     um = universal_map(g)
-    nodes = g.sv_params.alphas
+    nodes = range(g.edge_count)
     for trial in range(40):
         xs = [rng.randrange(f101.p) for _ in range(2)]
         # from trial 20 on, y's sit at the Lagrange nodes, where u_i(y) = delta_ij
@@ -293,6 +293,21 @@ def test_embed_rejects_misfits(f101):
     out_of_inputs = LinearCircuit(f101, 1, 1, (), (0,))
     with pytest.raises(CircuitError, match="input"):
         embed_circuit(out_of_inputs, g)
+    unit = ((0, 1, 1),)
+    for circuit, graph, match in (
+        (LinearCircuit(PrimeField(103), 1, 1, unit, (1,)), g, "different fields"),
+        (LinearCircuit(f101, 2, 2, ((0, 2, 1), (1, 3, 1)), (2, 3)), g, "arity"),
+        (LinearCircuit(f101, 2, 2, ((0, 2, 1), (1, 2, 1)), (2, 2)), universal_graph(f101, 2, 2, L=1, w=2),
+         "repeated designated output"),
+        (LinearCircuit(f101, 1, 1, ((0, 1, 1), (1, 2, 1)), (1,)), g, "outgoing edge"),
+        # three edges fit a budget of 3, but the chain 0 -> 2 -> 3 -> 1 needs depth 2
+        (LinearCircuit(f101, 1, 1, ((0, 2, 1), (2, 3, 1), (3, 1, 1)), (1,)), universal_graph(f101, 1, 3, L=1, w=1),
+         "depth 2 > L=1"),
+        (LinearCircuit(f101, 1, 1, ((0, 2, 1), (0, 3, 1), (2, 1, 1)), (1,)), universal_graph(f101, 1, 3, L=1, w=1),
+         "more than w=1"),
+    ):
+        with pytest.raises(CircuitError, match=match):
+            embed_circuit(circuit, graph)
 
 
 # ---------------------------------------------------------------- nonzero point

@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -600,15 +601,17 @@ def test_evaluate_many_grouped_tables(cells, monkeypatch):
     At the default budget the terms bound the tables; 200 cells make chunks
     of two rows, which 7 points cross, and 100 entries a row; 50 cells make
     one row a chunk and 50 entries; 7 leave each variable of the first map a
-    table of its own. Every value must equal MultiPoly.evaluate, in int64:
-    at p = 101 every product of residues is summed unreduced, at larger p
-    some are reduced first."""
+    table of its own. A third map of three variables with exponents up to
+    2**40 takes each variable's powers only at the exponents that occur.
+    Every value must equal MultiPoly.evaluate, in int64: at p = 101 every
+    product of residues is summed unreduced, at larger p some are reduced
+    first."""
     if cells is not None:
         monkeypatch.setattr(poly, "_EVAL_CELLS", cells)
     rng = random.Random(f"poly:grouped:{cells}")
     for p in (101, 10007, 2**31 - 1):
         field = PrimeField(p)
-        for m, top in ((6, 5), (8, 1)):
+        for m, top in ((6, 5), (8, 1), (3, 2**40)):
             coords = [_dense_poly(rng, field, m, 30, top) for _ in range(3)]
             coords.insert(1, MultiPoly.zero(field, m))
             pmap = PolyMap(field, m, tuple(coords))
@@ -616,6 +619,26 @@ def test_evaluate_many_grouped_tables(cells, monkeypatch):
             values = pmap.evaluate_many(points)
             assert values.dtype == np.int64
             assert values.tolist() == _scalar_values(pmap, points)
+
+
+def test_evaluation_allocates_by_terms_not_exponents():
+    # 5 x1^(2^20) + x2^3: a table of every power of x1 up to 2^20 would
+    # take 8 MB a point, so 3 points stay far below the bound only when
+    # x1's powers are taken at the exponents that occur
+    field = PrimeField(10007)
+    q = MultiPoly(field, 2, {(2**20, 0): 5, (0, 3): 1})
+    pmap = PolyMap(field, 2, (q, q))
+    points = [[3, 4], [10006, 2], [0, 0]]
+    tracemalloc.start()
+    try:
+        values = pmap.evaluate_many(points).tolist()
+        scalar = [q.evaluate(point) for point in points]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    want = [(5 * pow(x, 2**20, 10007) + y**3) % 10007 for x, y in points]
+    assert scalar == want and values == [[v, v] for v in want]
 
 
 # ---------------------------------------------------------------- bases
