@@ -11,16 +11,14 @@ evaluations. Both modes run one round loop and verify every returned
 polynomial symbolically; the certificate it goes into is certify's.
 
 The nullspace comes from an exact blocked elimination mod p that works only
-where pivots are still missing. The echelon rows are kept on the columns with
-no pivot yet. Each block of rows is cleared against them, and they against
-its new pivots, by float64 matmuls (BLAS); a block finds its own pivots on
-windows as wide as it is tall, with int64 row operations. A float64 sum of
-integers is exact below 2**53, so each matmul adds at most k products of
-residues with k * (p - 1)**2 < 2**53. Moduli with (p - 1)**2 >= 2**53 are
-split into 16-bit limbs, multiplied by three limb products (Karatsuba).
-Every modulus of a PrimeField (p < 2**31) is supported. That exact
-modular matmul is poly._mulmod: poly.packed_weighted_sum forms sums of
-products on shared supports with it too.
+where pivots are still missing, after FFLAS-FFPACK (Dumas, Giorgi and
+Pernet, ACM TOMS 2008). Blocks of rows are cleared against the echelon rows,
+and those against each block's new pivots, by float64 matmuls (BLAS) that
+poly._mulmod keeps exact, with one int64 % p per matmul. Inside a block the
+row operations delay their reduction: int64 holds K rank-1 updates of
+residues while K * (p - 1)**2 + p <= 2**63, so % p runs every K pivots and
+once per window. Every modulus of a PrimeField (p < 2**31) takes this one
+path; poly.packed_weighted_sum forms sums of products with _mulmod too.
 """
 
 from __future__ import annotations
@@ -145,20 +143,27 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     return AT.T, basis
 
 
-# Rows of the input taken per block of the elimination in kernel().
+# Rows per block of the elimination in kernel(), and blocks per superblock.
 _BLOCK_ROWS = 64
+_SPLIT = 8
 
 
 def _rref_block(C, p: int):
-    """Reduced row echelon form of an int64 block of residues, in place.
+    """Reduced row echelon form of an int64 block of residues: (R, pivots,
+    kept), its nonzero rows on the columns kept, those with no pivot.
 
-    Returns its nonzero rows and their pivot columns. Pivots are sought in
-    windows of the next len(C) columns that are nonzero below the pivot rows
-    (the others are left unchanged by the row operations). The operations
-    act on [window | transform]; one matmul then applies the square transform
-    to the columns right of the window.
+    Pivots are sought in windows of the next len(C) columns that are nonzero
+    below the pivot rows (the others are left unchanged by the row
+    operations). The operations act on [window | transform]; one matmul then
+    applies the square transform to the columns right of the window. A pivot
+    reduces only its own column, to find it, and its own row, to scale it;
+    its rank-1 update of the other rows (by slices when most take it) adds
+    no % p. Each update subtracts at most (p - 1)**2, so the window is
+    reduced every K updates, K * (p - 1)**2 + p <= 2**63, and at its end.
     """
+    C = C[C.any(axis=1)]
     k, r, start, pivots = len(C), 0, 0, []
+    K = (2**63 - p) // (p - 1) ** 2
     while r < k:
         cols = start + np.flatnonzero(C[r:, start:].any(axis=0))
         if cols.size == 0:
@@ -167,82 +172,97 @@ def _rref_block(C, p: int):
         # the transform is carried only when there are columns to apply it to
         S = np.concatenate((C[:, win], np.eye(k, k if right.size else 0, dtype=np.int64)), axis=1)
         for j in range(w):
-            nz = np.flatnonzero(S[r:, j])
+            f = S[:, j] % p
+            nz = np.flatnonzero(f[r:])
             if nz.size == 0:
                 continue
             pivot = r + int(nz[0])
-            S[[r, pivot]] = S[[pivot, r]]
-            S[r, j:] = S[r, j:] * pow(int(S[r, j]), p - 2, p) % p
-            rest = np.flatnonzero(S[:, j])
-            rest = rest[rest != r]
-            if rest.size:
-                S[rest, j:] = (S[rest, j:] - S[rest, j, None] * S[r, j:]) % p
+            if pivot != r:
+                S[[r, pivot]], f[[r, pivot]] = S[[pivot, r]], f[[pivot, r]]
+            S[r, j:] = row = S[r, j:] % p * pow(int(f[r]), p - 2, p) % p
+            f[r] = 0
+            rest = np.flatnonzero(f)
+            if 2 * rest.size > k:
+                S[:, j:] -= f[:, None] * row
+            elif rest.size:
+                S[rest, j:] -= f[rest, None] * row
             pivots.append(int(win[j]))
             r += 1
+            if r % K == 0:
+                S[:, j + 1:] %= p
+        S %= p
         C[:, win] = S[:, :w]
         if right.size:
             C[:, right] = _mulmod(S[:, w:], C[:, right], p)
         start = int(win[-1]) + 1
-    return C[:r], pivots
+    kept = np.delete(np.arange(C.shape[1]), pivots)
+    return C[:r, kept], pivots, kept
+
+
+def _echelon(A, p: int):
+    """(X, piv, act): the reduced row echelon form of A mod p. X[i] is the
+    echelon row with its pivot at column piv[i], as float64 residues on the
+    active columns act (ascending), which have no pivot yet. A block C is
+    cleared by one matmul, C[:, act] - C[:, piv] @ X, and brought to reduced
+    echelon form R; its new pivots are cleared from the rows of X they reach
+    by a second, X - X[:, new] @ R, and leave the active set. Blocks have
+    _BLOCK_ROWS rows (_rref_block), or _SPLIT times as many once X holds as
+    many cells as such a superblock: this function reduces it on its own, so
+    X takes one update per superblock rather than _SPLIT."""
+    nrows, ncols = A.shape
+    act = np.arange(ncols)
+    piv = np.empty(0, dtype=np.intp)
+    X = np.empty((0, ncols))
+    start = 0
+    while start < nrows and act.size:
+        rows = _BLOCK_ROWS * (_SPLIT if X.size >= _SPLIT * _BLOCK_ROWS * ncols else 1)
+        C = np.remainder(A[start:start + rows], p, dtype=np.int64)
+        C = C[C.any(axis=1)]
+        start += rows
+        used = np.flatnonzero(C[:, piv].any(axis=0))
+        B = C[:, act]
+        if used.size:
+            _mulmod(-C[:, piv[used]], X if used.size == len(X) else X[used], p, B)
+        R, new, kept = (_echelon if rows > _BLOCK_ROWS else _rref_block)(B, p)
+        if not len(new):
+            continue
+        Xn = np.empty((len(X) + len(new), kept.size))
+        # mode="clip" lets take write into Xn without a buffer; kept is in range
+        np.take(X, kept, axis=1, out=Xn[:len(X)], mode="clip")
+        Xn[len(X):] = R
+        X_new = X[:, new]
+        hit = np.flatnonzero(X_new.any(axis=1))
+        if hit.size == len(X):
+            _mulmod(X_new, -R, p, Xn[:len(X)])
+        elif hit.size:
+            Xn[hit] = _mulmod(X_new[hit], -R, p, Xn[hit])
+        X, piv, act = Xn, np.concatenate((piv, act[new])), act[kept]
+    return X, piv, act
 
 
 def kernel(A, p: int) -> list[list[int]]:
-    """Nullspace basis of A over F_p via reduced row echelon form.
+    """Nullspace basis of A over F_p via reduced row echelon form (_echelon).
 
     Each basis vector is scaled so its first nonzero coordinate (in column
     order) is 1. Vectors appear in ascending order of their free column.
     A may hold integers of any dtype: each block is taken to int64 mod p on
-    its own, so a narrow A is never widened whole.
-
-    Rows are taken _BLOCK_ROWS at a time. The echelon rows X are kept only
-    on the active columns, those with no pivot yet (on the pivot columns
-    they are the identity). A block C is cleared by one matmul, C[:, act] -
-    C[:, piv] @ X, and brought to reduced echelon form R; its new pivots are
-    cleared from X by a second, X - X[:, new] @ R, and leave the active set.
-    Each matmul takes only the rows of X that it changes or needs. The basis
-    is read off X: its vector for active column f is 1 at f and -X[:, f]
-    at the pivots.
+    its own, so a narrow A is never widened whole. Reductions mod p happen
+    once per matmul (poly._mulmod, in int64) and, inside a block, once per K
+    pivots and per window (_rref_block), where K * (p - 1)**2 + p <= 2**63
+    keeps the pending int64 row updates exact. The basis is read off X: its
+    vector for active column f is 1 at f and -X[:, f] at the pivots.
     """
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("kernel expects a 2-d matrix")
-    nrows, ncols = A.shape
     if p * p >= 2**62:
         raise ValueError("modulus too large for the int64 elimination path")
-    # X[i] is the echelon row with its pivot at column piv[i], on the active
-    # columns act (ascending); it is 1 at its own pivot and 0 at the others.
-    act = np.arange(ncols)
-    piv = np.empty(0, dtype=np.intp)
-    X = np.empty((0, ncols), dtype=np.int64)
-    for start in range(0, nrows, _BLOCK_ROWS):
-        if act.size == 0:
-            break
-        C = A[start:start + _BLOCK_ROWS].astype(np.int64) % p
-        C = C[C.any(axis=1)]
-        used = np.flatnonzero(C[:, piv].any(axis=0))
-        B = C[:, act]
-        if used.size:
-            _mulmod((p - C[:, piv[used]]) % p, X if used.size == len(X) else X[used], p, B)
-        R, new = _rref_block(B[B.any(axis=1)], p)
-        if not new:
-            continue
-        kept = np.delete(np.arange(act.size), new)
-        Xn = np.empty((len(X) + len(new), kept.size), dtype=np.int64)
-        # mode="clip" lets take write into Xn without a buffer; kept is in range
-        np.take(X, kept, axis=1, out=Xn[:len(X)], mode="clip")
-        Xn[len(X):] = R[:, kept]
-        minus_r = (p - Xn[len(X):]) % p
-        hit = np.flatnonzero(X[:, new].any(axis=1))
-        if hit.size == len(X):
-            _mulmod(X[:, new], minus_r, p, Xn[:len(X)])
-        elif hit.size:
-            Xn[hit] = _mulmod(X[np.ix_(hit, new)], minus_r, p, Xn[hit])
-        X, piv, act = Xn, np.concatenate((piv, act[new])), act[kept]
+    X, piv, act = _echelon(A, p)
     if act.size == 0:
         return []
-    K = np.zeros((act.size, ncols), dtype=np.int64)
+    K = np.zeros((act.size, A.shape[1]), dtype=np.int64)
     K[np.arange(act.size), act] = 1
-    K[:, piv] = (p - X.T) % p
+    K[:, piv] = -X.T
     lead = K[np.arange(act.size), (K != 0).argmax(axis=1)]
     inv = np.array([pow(int(x), p - 2, p) for x in lead], dtype=np.int64)
     return (K * inv[:, None] % p).tolist()

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit-code protocol: 0 success, 1 not certified, 2 no annihilator in the
-searched degree range, 3 resource refusal, 4 verification failure.
+searched degree range, 3 resource refusal, 4 verification failure, 64 usage
+or input error (a bad command, flag or flag value included).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_NONE_IN_RANGE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFICATION = 4
+EXIT_USAGE = 64
 
 
 def _load_map(args) -> PolyMap:
@@ -167,11 +169,20 @@ def cmd_oracle(args) -> int:
     return EXIT_VERIFICATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits EXIT_USAGE: its own 2 is this
+    protocol's "no annihilator in range". Subcommand parsers are this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use: parse_args keeps
     no state between calls, and building it costs more than a small certify."""
-    parser = argparse.ArgumentParser(prog="rigideq", description=__doc__)
+    parser = _Parser(prog="rigideq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_map_args(sp):
@@ -228,7 +239,7 @@ def main(argv=None) -> int:
         return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 64
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .field import PrimeField
 from .generators import SVParams, sv_input, sv_map
@@ -131,8 +132,13 @@ class UniversalGraph:
             return self.n
         return self.w
 
-    def edge_index(self) -> dict:
-        return {e: i for i, e in enumerate(self.edges)}
+    def __post_init__(self):
+        # frozen, so its edge index is built once, with it
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.edges)})
+
+    def edge_index(self) -> Mapping:
+        """Read-only map from each edge to its label position."""
+        return MappingProxyType(self._index)
 
 
 def edge_count(n: int, L: int, w: int) -> int:
@@ -286,7 +292,7 @@ def embed_circuit(circuit: LinearCircuit, graph: UniversalGraph) -> tuple:
         placement[v] = (layer, slot)
         used_per_layer[layer] = slot + 1
 
-    index = graph.edge_index()
+    index = graph._index
     edge_values: dict[int, int] = {}  # sv_input reduces them mod p
     for s, d, lbl in circuit.edges:
         # every vertex sees all earlier layers, and s is placed below d

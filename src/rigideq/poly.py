@@ -329,33 +329,43 @@ class _ArrayPoly(MultiPoly):
 
 
 def _dot_mod(A, B, bound: int, p: int, acc):
-    """acc = (acc + A @ B) mod p in place, for an int64 acc and float64 arrays
-    of integers in [0, bound]: each matmul sums at most k products with
-    k * bound**2 < 2**53, exactly."""
-    k = (_FLOAT_EXACT - 1) // (bound * bound)
+    """acc = (acc + A @ B) mod p in place, for float64 arrays of integers of
+    magnitude at most bound and an acc of residues, int64 or float64: each
+    matmul sums at most k products with k * bound**2 + p <= 2**53, so even a
+    float64 acc holds the sum exactly. The % p is taken in int64 either way,
+    in numpy's cast buffers: three times faster than a float np.remainder."""
+    k = (_FLOAT_EXACT - p) // (bound * bound)
     for s in range(0, A.shape[1], k):
         np.add(acc, A[:, s:s + k] @ B[s:s + k], out=acc, casting="unsafe")
-        acc %= p
+        np.remainder(acc, p, out=acc, dtype=np.int64, casting="unsafe")
     return acc
+
+
+def _limbs(A):
+    """16-bit limbs of integers of magnitude below 2**31, as float64:
+    A = high * 2**16 + low with 0 <= low < 2**16 and |high| <= 2**15."""
+    high = A * 2.0**-16
+    np.floor(high, out=high)
+    return high, A - high * 2.0**16
 
 
 def _mulmod(A, B, p: int, acc=None):
-    """(acc + A @ B) mod p for int64 arrays of residues mod p, exactly, by
-    float64 matmuls; written into acc, a fresh zero array when None."""
+    """(acc + A @ B) mod p, exactly, by float64 matmuls, for int64 or float64
+    arrays of integers of magnitude below p (residues or their negatives);
+    written into acc, int64 or float64 residues, a fresh int64 zero array
+    when None."""
     if acc is None:
         acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if (p - 1) ** 2 < _FLOAT_EXACT:
-        return _dot_mod(A.astype(np.float64), B.astype(np.float64), p - 1, p, acc)
+    if (p - 1) ** 2 + p <= _FLOAT_EXACT:
+        return _dot_mod(A.astype(np.float64, copy=False), B.astype(np.float64, copy=False), p - 1, p, acc)
     # p < 2**31: split both factors into 16-bit limbs, X = Xh * 2**16 + Xl, and
     # take three limb products (Karatsuba), the middle one from the limb sums.
-    Ah, Al = (A >> 16).astype(np.float64), (A & 0xFFFF).astype(np.float64)
-    Bh, Bl = (B >> 16).astype(np.float64), (B & 0xFFFF).astype(np.float64)
-    hh = _dot_mod(Ah, Bh, 0xFFFF, p, np.zeros_like(acc))
-    ll = _dot_mod(Al, Bl, 0xFFFF, p, np.zeros_like(acc))
-    mid = _dot_mod(Ah + Al, Bh + Bl, 2 * 0xFFFF, p, np.zeros_like(acc)) - hh - ll
+    (Ah, Al), (Bh, Bl) = _limbs(A), _limbs(B)
+    hh = _dot_mod(Ah, Bh, 0xFFFF, p, np.zeros(acc.shape, dtype=np.int64))
+    ll = _dot_mod(Al, Bl, 0xFFFF, p, np.zeros(acc.shape, dtype=np.int64))
+    mid = _dot_mod(Ah + Al, Bh + Bl, 2 * 0xFFFF, p, np.zeros(acc.shape, dtype=np.int64)) - hh - ll
     acc += ((((hh << 16) + mid) % p) << 16) + ll
-    acc %= p
-    return acc
+    return np.remainder(acc, p, out=acc, dtype=np.int64, casting="unsafe")
 
 
 def packed_weighted_sum(pairs: Sequence[tuple["MultiPoly", "MultiPoly"]], field: PrimeField, nvars: int) -> "MultiPoly":
@@ -633,7 +643,8 @@ class PolyMap:
         terms has powers only at those that occur (_powmod). A term's value
         is its coefficient times one entry of each table, reduced mod p only
         where a product or the sum of a coordinate's values could otherwise
-        leave int64.
+        leave int64. A map with an exponent too large for int64 is evaluated
+        through _exponents_below_p, which keeps every value.
         """
         p, m = self.field.p, self.in_arity
         longest = max(map(len, self.coordinates), default=0)
@@ -647,7 +658,10 @@ class PolyMap:
             return np.zeros((len(X), 0), dtype=np.int64)
         # every coordinate's terms in one array, coordinate j's in columns
         # offsets[j]:offsets[j + 1]; a row of exponents per variable
-        E, C, offsets = _stack(self.coordinates)
+        try:
+            E, C, offsets = _stack(self.coordinates)
+        except OverflowError:  # an exponent of 2**63 or more
+            E, C, offsets = _stack([_exponents_below_p(q) for q in self.coordinates])
         E = np.ascontiguousarray(E.T)
         top = E.max(axis=1, initial=0).tolist()  # the largest exponent of each variable
         occur = {i: np.unique(E[i]) for i in range(m) if top[i] >= len(C)}
@@ -707,6 +721,17 @@ class PolyMap:
         if pmap.out_arity != doc["N"]:
             raise ValueError("inconsistent coordinate count in serialized map")
         return pmap
+
+
+def _exponents_below_p(q: MultiPoly) -> MultiPoly:
+    """q with each exponent e >= 1 taken to ((e - 1) mod (p - 1)) + 1: the
+    same function on F_p, since x**e equals that power at x = 0 and, by
+    Fermat, at every other x. For evaluation only; terms that meet merge."""
+    p, terms = q.field.p, {}
+    for e, c in q.terms.items():
+        r = tuple(ei and (ei - 1) % (p - 1) + 1 for ei in e)
+        terms[r] = (terms.get(r, 0) + c) % p
+    return MultiPoly._trusted(q.field, q.nvars, {e: c for e, c in terms.items() if c})
 
 
 def _powmod(x: np.ndarray, e: np.ndarray, p: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,18 +226,41 @@ def _seeded_matrices(p, seed):
     }
 
 
-# 67108859 < 2**26 takes the matmul in inner blocks of 2 terms; 2**31 - 1
-# takes the 16-bit limb split.
-@pytest.mark.parametrize("p", [2, 3, 101, 10007, 67108859, 2**31 - 1])
+# 67108859 < 2**26 takes the matmul in inner blocks of 2 terms; 1073741789
+# and 2**31 - 1 take the 16-bit limb split. _rref_block reduces its window
+# every K = 8 and K = 2 updates there, so within a 64-row block.
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, 67108859, 1073741789, 2**31 - 1])
 @pytest.mark.parametrize("block_rows", [7, None])
 def test_kernel_matches_reference(p, block_rows, monkeypatch):
     if block_rows:
         monkeypatch.setattr(annihilator, "_BLOCK_ROWS", block_rows)
-    for name, A in _seeded_matrices(p, p % 1000).items():
+    calls, echelon = [], annihilator._echelon
+    monkeypatch.setattr(annihilator, "_echelon", lambda A, p: calls.append(len(A)) or echelon(A, p))
+    matrices = _seeded_matrices(p, p % 1000)
+    for name, A in matrices.items():
         want = reference_kernel(A, p)
         assert kernel(A, p) == want, name
         # the symbolic builder's dtype: the narrowest unsigned one that holds p - 1
         assert kernel(A.astype(np.min_scalar_type(p - 1)), p) == want, name
+    # 7-row blocks outgrow X on the larger matrices and take superblocks of
+    # 56 rows through _echelon itself; 64-row blocks never do on these
+    assert (len(calls) > 2 * len(matrices)) == bool(block_rows)
+
+
+def test_kernel_never_widens_a_narrow_matrix_whole():
+    """The symbolic rigidity(4,2,0) matrix at D=3 is 4489 x 969 uint8, 4.35 MB;
+    widened whole to float64 it would take 35 MB. kernel takes it a block at
+    a time."""
+    F = PrimeField(101)
+    A, _ = composition_matrix_symbolic(parse_map_spec(F, "rigidity(4,2,0)"), 3)
+    assert A.shape == (4489, 969) and A.dtype == np.uint8
+    tracemalloc.start()
+    try:
+        ker = kernel(A, F.p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ker) == 16 and peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("name, D, cols, dim", [("rigidity(3,1,1)", 3, 220, 0), ("tensor(3,3,1)", 2, 406, 162)])
@@ -261,6 +285,10 @@ def test_mulmod_matches_object_product(p):
     acc = rng.integers(0, p, (9, 11), dtype=np.int64)
     want = (acc.astype(object) + _object_product(A, B, p)) % p
     assert annihilator._mulmod(A, B, p).tolist() == _object_product(A, B, p).tolist()
+    # kernel's operands: negated residues, float64 factors, a float64 acc
+    store = acc.astype(np.float64)
+    minus = (acc.astype(object) - _object_product(A, B, p)) % p
+    assert annihilator._mulmod(-A, B.astype(np.float64), p, store) is store and store.tolist() == minus.tolist()
     assert annihilator._mulmod(A, B, p, acc) is acc and acc.tolist() == want.tolist()
     # every entry p - 1: the largest limbs, and a product of 1 x 1 with inner dimension 0
     full = np.full((3, 300), p - 1, dtype=np.int64)

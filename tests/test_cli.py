@@ -566,6 +566,40 @@ def test_huge_map_exponents_are_checked_in_bounded_memory(tmp_path, capsys):
     assert json.loads(out.read_text())["Q"] == q
 
 
+def test_exponents_past_int64_are_evaluated_by_fermat(tmp_path, monkeypatch):
+    """A map outside the grammar whose exponents do not fit int64: both
+    coordinates are x1^(2^64) + 3 x1^(2^64 + 100) + 5, with Q = y1 - y2.
+    Packing its exponents for evaluation raised OverflowError, so verify
+    --trials and a sampled solve exited 1. Over F_101 they are reduced to
+    ((e - 1) mod 100) + 1, where the two powers meet; every value must equal
+    MultiPoly.evaluate's, which takes pow of the exact exponents."""
+    F = PrimeField(101)
+    coord = MultiPoly(F, 1, {(2**64,): 1, (2**64 + 100,): 3, (0,): 5})
+    pmap = PolyMap(F, 1, (coord, coord), "past int64")
+    q = {"nvars": 2, "p": 101, "terms": [{"c": 1, "e": [1, 0]}, {"c": 100, "e": [0, 1]}]}
+    doc = {"D": 1, "Q": q, "kind": "annihilator", "label": "past int64", "map": pmap.to_json_dict(),
+           "mode": "symbolic", "p": 101, "seed": 0,
+           "verification": {"kernel_dim": 1, "rows": 1, "symbolic_verified": True}}
+    cert, mapfile, out = tmp_path / "cert.json", tmp_path / "map.json", tmp_path / "out.json"
+    cert.write_text(json.dumps(doc))
+    mapfile.write_text(json.dumps(pmap.to_json_dict()))
+    seen, evaluate_many = [], PolyMap.evaluate_many
+
+    def spy(self, points):
+        values = evaluate_many(self, points)
+        seen.append((self, [list(x) for x in points], values.tolist()))
+        return values
+
+    monkeypatch.setattr(PolyMap, "evaluate_many", spy)
+    with pytest.warns(UserWarning, match="Schwartz-Zippel bound degenerates"):
+        assert run("verify", "--cert", str(cert), "--trials", "3") == 0
+    assert run("solve", "--in", str(mapfile), "--mode", "sampled", "--dmax", "1", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["Q"] == q
+    assert len(seen) == 2 and sum(len(points) for _, points, _ in seen) == 3 + 19
+    for m, points, values in seen:
+        assert values == [[c.evaluate(x) for c in m.coordinates] for x in points]
+
+
 def test_no_certificate_label_opens_a_file(tmp_path, rigidity_cert_file, monkeypatch, capsys):
     sfile = tmp_path / "support.txt"
     sfile.write_text("1 1\n2 2\n")
@@ -602,6 +636,23 @@ def test_solve_verify_certify_by_label(tmp_path, capsys, spec, p, flags, matrix,
     assert run("verify", "--cert", str(cert), "--trials", "5") == 0
     assert f"certificate for {spec} verified" in capsys.readouterr().err
     assert run("certify", "--in", str(mfile), "--cert", str(cert)) == certify_code
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "bogus"],
+    ["solve", "--dmax", "x"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_64(argv, capsys):
+    """A bad flag value or an unknown command is a usage error (64), as the
+    README says, not argparse's 2, which here means "no annihilator in range"."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "usage: rigideq" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
 
 
 def test_one_parser_per_process(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -259,25 +260,54 @@ def test_embed_identity_circuit(f101):
     assert [[mat[i][j] for i in range(n)] for j in range(n)] == want
 
 
+def _random_circuit(rng, field):
+    """At most 4 edges, n=2, depth <= 2: inputs 0,1; internals 4 (depth 1),
+    5 (depth <= 2); outputs 2,3."""
+    internal_edges = [(0, 4), (1, 4), (0, 5), (1, 5), (4, 5)]
+    out_edges = [(0, 2), (1, 2), (4, 2), (5, 2), (0, 3), (1, 3), (4, 3), (5, 3)]
+    edges = [(*e, rng.randrange(1, field.p)) for e in rng.sample(internal_edges, rng.randrange(0, 3))]
+    edges += [(*e, rng.randrange(1, field.p)) for e in rng.sample(out_edges, rng.randrange(0, 3))]
+    return LinearCircuit(field, 2, 2, tuple(edges[:4]), (2, 3))
+
+
 def test_embed_random_circuits(f101):
     rng = random.Random("lc:embed")
     g = universal_graph(f101, 2, 4, L=2, w=2)
     for _ in range(20):
-        # vertices: inputs 0,1; internals 4 (depth 1), 5 (depth <= 2); outputs 2,3
-        edges = []
-        internal_edges = [(0, 4), (1, 4), (0, 5), (1, 5), (4, 5)]
-        out_edges = [(0, 2), (1, 2), (4, 2), (5, 2), (0, 3), (1, 3), (4, 3), (5, 3)]
-        for cand in rng.sample(internal_edges, rng.randrange(0, 3)):
-            edges.append((*cand, rng.randrange(1, f101.p)))
-        for cand in rng.sample(out_edges, rng.randrange(0, 3)):
-            edges.append((*cand, rng.randrange(1, f101.p)))
-        if len(edges) > 4:
-            edges = edges[:4]
-        c = LinearCircuit(f101, 2, 2, tuple(edges), (2, 3))
+        c = _random_circuit(rng, f101)
         xs, ys = embed_circuit(c, g)
         mat = universal_eval(g, xs, ys)
         want = circuit_matrix(c)
         assert [[mat[i][j] for i in range(2)] for j in range(2)] == want
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def test_embeds_share_one_edge_index(f101):
+    """The graph's edge index is built once, with the graph; 200 embeds into
+    the benchmark's universal_graph(2, 4, L=2, w=3) then never walk the edges,
+    and give the (xs, ys) they gave when each embed rebuilt the index (sha256
+    taken before the change)."""
+    g = universal_graph(f101, 2, 4, L=2, w=3)
+    index = g.edge_index()
+    assert dict(index) == {e: i for i, e in enumerate(g.edges)}
+    with pytest.raises(TypeError):
+        index[g.edges[0]] = 1
+    counted = dataclasses.replace(g, edges=_CountingEdges(g.edges))
+    assert _CountingEdges.iterations == 1
+    rng = random.Random("lc:embed-index")
+    out = [embed_circuit(_random_circuit(rng, f101), counted) for _ in range(200)]
+    assert _CountingEdges.iterations == 1
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "d4612d5ac95fdc3f531d1db506a789c51bb64d2c5e1b7bfdbd9f311261d03f40"
 
 
 @pytest.mark.filterwarnings("ignore:universal graph")
