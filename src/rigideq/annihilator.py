@@ -35,7 +35,8 @@ from .poly import MultiPoly, PolyMap, _mulmod, monomial_basis, monomial_images, 
 
 
 class ResourceLimitError(RuntimeError):
-    """Symbolic matrix would be too tall; caller should switch to sampled mode."""
+    """A matrix would be too large to build: the symbolic one too tall
+    (ROW_CAP; sampled mode may fit), the sampled one too many bytes (SAMPLED_BYTE_CAP)."""
 
 
 class VerificationError(RuntimeError):
@@ -43,6 +44,7 @@ class VerificationError(RuntimeError):
 
 
 ROW_CAP = 5_000_000  # estimated rows of the largest symbolic matrix built
+SAMPLED_BYTE_CAP = 2**30  # bytes of the largest sampled matrix built
 SAMPLE_MARGIN = 16
 
 
@@ -117,6 +119,9 @@ def composition_matrix_sampled(pmap: PolyMap, D: int, rows: int, seed) -> tuple:
     transpose of one int64 array that each degree is written into in place.
     """
     p = pmap.field.p
+    est_bytes = 8 * rows * math.comb(pmap.out_arity + D, pmap.out_arity)  # int64 entries
+    if est_bytes > SAMPLED_BYTE_CAP:
+        raise ResourceLimitError(f"sampled matrix would take ~{est_bytes} bytes > cap {SAMPLED_BYTE_CAP}")
     basis = monomial_basis(pmap.out_arity, D)
     rng = random.Random(f"{seed}:sampled:{pmap.label}:{D}")
     points = [[rng.randrange(p) for _ in range(pmap.in_arity)] for _ in range(rows)]

@@ -24,7 +24,7 @@ from .certify import (
     UnverifiedCertificateError,
 )
 from .field import PrimeField
-from .generators import map_spec, parse_map_spec
+from .generators import MAP_GRAMMAR, map_spec, parse_map_spec
 from .oracle import (
     OracleCostError,
     is_rigid_bruteforce,
@@ -43,21 +43,19 @@ EXIT_USAGE = 64
 
 
 def _load_map(args) -> PolyMap:
-    if args.map:
+    if args.map is not None:
         if not args.prime:
             raise ValueError("--map needs --prime")
         return parse_map_spec(PrimeField(args.prime), args.map)
-    if args.infile:
-        with open(args.infile) as fh:
-            doc = json.load(fh)
-        try:
-            pmap = PolyMap.from_json_dict(doc)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"unreadable map file: {exc!r}") from exc
-        if args.prime and pmap.field.p != args.prime:
-            raise ValueError(f"map file has p={pmap.field.p}, --prime says {args.prime}")
-        return pmap
-    raise ValueError("need --map SPEC or --in MAPFILE")
+    with open(args.infile) as fh:
+        doc = json.load(fh)
+    try:
+        pmap = PolyMap.from_json_dict(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"unreadable map file: {exc!r}") from exc
+    if args.prime and pmap.field.p != args.prime:
+        raise ValueError(f"map file has p={pmap.field.p}, --prime says {args.prime}")
+    return pmap
 
 
 def _emit(doc: str, out: str | None):
@@ -151,22 +149,19 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     with open(args.infile) as fh:
         text = fh.read()
-    if args.rigid:
+    if args.rigid is not None:
         r, s = map(int, args.rigid.split(","))
         matrix = parse_matrix(text)
         verdict = is_rigid_bruteforce(matrix, r, s)
         print(f"matrix is {'({},{})-rigid'.format(r, s) if verdict else 'not ({},{})-rigid'.format(r, s)} over F_{matrix.field.p}")
         return EXIT_OK if verdict else EXIT_NOT_CERTIFIED
-    if args.tensor_rank is not None:
-        tensor = parse_tensor(text)
-        result = tensor_rank_bruteforce(tensor, args.tensor_rank)
-        if result is None:
-            print(f"tensor rank > {args.tensor_rank} over F_{tensor.field.p}")
-            return EXIT_NOT_CERTIFIED
-        print(f"tensor rank = {result} over F_{tensor.field.p}")
-        return EXIT_OK
-    print("oracle: need --rigid r,s or --tensor-rank RMAX", file=sys.stderr)
-    return EXIT_VERIFICATION
+    tensor = parse_tensor(text)
+    result = tensor_rank_bruteforce(tensor, args.tensor_rank)
+    if result is None:
+        print(f"tensor rank > {args.tensor_rank} over F_{tensor.field.p}")
+        return EXIT_NOT_CERTIFIED
+    print(f"tensor rank = {result} over F_{tensor.field.p}")
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_map_args(sp):
         sp.add_argument("--prime", "-p", type=int, default=None, help="field modulus")
-        sp.add_argument("--map", help="map spec: rank(n,r) | rigidity(n,r,k) | support(n,r,[i,j;...]) | tensor(n,d,r) | sv(N,k) | universal(n,s,L,w)")
-        sp.add_argument("--in", dest="infile", help="serialized map JSON file")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--map", help=f"map spec: {MAP_GRAMMAR}")
+        source.add_argument("--in", dest="infile", help="serialized map JSON file")
 
     sp = sub.add_parser("genmap", help="construct a universal map and serialize it")
     add_map_args(sp)
@@ -214,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force rigidity / tensor-rank verdicts")
     sp.add_argument("--in", dest="infile", required=True, help="matrix ('p rows cols') or tensor ('p n d') file")
-    sp.add_argument("--rigid", help="check (r,s)-rigidity, e.g. --rigid 1,1")
-    sp.add_argument("--tensor-rank", type=int, default=None, help="search tensor rank up to RMAX")
+    check = sp.add_mutually_exclusive_group(required=True)
+    check.add_argument("--rigid", help="check (r,s)-rigidity, e.g. --rigid 1,1")
+    check.add_argument("--tensor-rank", type=int, default=None, help="search tensor rank up to RMAX")
 
     return parser
 

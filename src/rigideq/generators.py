@@ -264,48 +264,50 @@ def tensor_witness(params: TensorParams, vectors: Sequence[Sequence[Sequence[int
     return tuple(beta)
 
 
-_SPEC_RE = re.compile(r"\s*(rank|rigidity|support|tensor|sv|universal)\s*\(([^[\]]*?)(?:,\s*\[([^[\]]*)\])?\s*\)\s*")
-_ARITY = {"rank": 2, "rigidity": 3, "support": 2, "tensor": 3, "sv": 2, "universal": 4}
+def _universal_arities(p: int, n: int, s: int, L: int, w: int) -> tuple[int, int]:
+    if min(s, L, w) < 1 or p <= lincircuit.edge_count(n, L, w):  # as universal_graph checks, before any edge
+        raise ValueError(f"need s, L, w >= 1 and p > s' = {lincircuit.edge_count(n, L, w)}")
+    return 2 * s, n * n
+
+
+# The label grammar: each name's argument names (a last, bracketed one is a
+# list of 1-indexed positions); the (m, N) of its map from p and the arguments
+# alone, to check a label of any size against a document before any build
+# (a tensor's N is n**min(d, 64): no document lists 2**64 coordinates); and
+# its builder, which looks its functions up when it is called.
+MAP_LABELS = {
+    "rank": (("n", "r"), lambda p, n, r: (2 * n * r, n * n), lambda F, *a: rank_map(F, *a)),
+    "rigidity": (("n", "r", "k"), lambda p, n, r, k: (2 * n * r + 2 * k, n * n),
+                 lambda F, *a: rigidity_map(RigidityParams(F, *a))),
+    "support": (("n", "r", "[i,j;...]"), lambda p, n, r, positions: (2 * n * r + len(positions), n * n),
+                lambda F, *a: fixed_support_map(F, *a)),
+    "tensor": (("n", "d", "r"), lambda p, n, d, r: (d * r * n, n ** min(d, 64)),
+               lambda F, *a: tensor_map(TensorParams(F, *a))),
+    "sv": (("N", "k"), lambda p, N, k: (2 * k, N), lambda F, *a: sv_map(SVParams(F, *a))),
+    "universal": (("n", "s", "L", "w"), _universal_arities,
+                  lambda F, *a: lincircuit.universal_map(lincircuit.universal_graph(F, *a))),
+}
+MAP_GRAMMAR = " | ".join(f"{name}({','.join(args)})" for name, (args, _, _) in MAP_LABELS.items())
+_SPEC_RE = re.compile(rf"\s*({'|'.join(MAP_LABELS)})\s*\(([^[\]]*?)(?:,\s*\[([^[\]]*)\])?\s*\)\s*")
 
 
 def map_spec(text: str) -> tuple[str, tuple] | None:
-    """(name, arguments) of a label in the grammar of parse_map_spec, or None
-    for any other text. Only support takes a bracketed list; its arguments
-    are n, r and the listed positions, 0-indexed."""
+    """(name, arguments) of a label in MAP_GRAMMAR, or None for any other text;
+    the positions of a bracketed list follow the integers, 0-indexed."""
     m = _SPEC_RE.fullmatch(text)
-    if not m or (m[1] == "support") == (m[3] is None):
+    if not m:
         return None
-    name, listed = m[1], m[3] or ""
     try:
         args = tuple(int(a) for a in m[2].split(","))
-        pairs = [pair.split(",") for pair in listed.split(";")] if listed.strip() else []
+        pairs = [pair.split(",") for pair in m[3].split(";")] if m[3] and m[3].strip() else []
         positions = [(int(i) - 1, int(j) - 1) for i, j in pairs]
     except ValueError:  # a word that is not an integer, or a pair that is not two
         return None
-    if len(args) != _ARITY[name]:
+    listed = m[3] is not None
+    # as many integers as the grammar has names, and a list where it has one
+    if [arg.startswith("[") for arg in MAP_LABELS[m[1]][0]] != [False] * len(args) + [True] * listed:
         return None
-    return name, args + ((positions,) if name == "support" else ())
-
-
-def map_arities(p: int, name: str, args: tuple) -> tuple[int, int]:
-    """(m, N) of the map that parse_map_spec builds from the label (name,
-    args), from the arguments alone, so that a label of any size is checked
-    against a document before anything is built. A universal label must
-    leave room for its edge labels, p > s', as universal_graph checks. A
-    tensor's N is n**min(d, 64): no document lists 2**64 coordinates."""
-    n, a, *rest = args
-    if name == "tensor":
-        return a * rest[0] * n, n ** min(a, 64)
-    if name == "sv":
-        return 2 * a, n
-    if name == "universal":
-        from .lincircuit import edge_count  # lincircuit imports this module
-        s_prime = edge_count(n, *rest)
-        if min(args[1:]) < 1 or p <= s_prime:
-            raise ValueError(f"need s, L, w >= 1 and p > s' = {s_prime}")
-        return 2 * a, n * n
-    # rank, rigidity, support: blocks of n x r and r x n, then 2k SV or the support variables
-    return 2 * n * a + (0 if name == "rank" else 2 * rest[0] if name == "rigidity" else len(rest[0])), n * n
+    return m[1], args + ((positions,) if listed else ())
 
 
 def bound_map(doc: dict) -> PolyMap | None:
@@ -317,22 +319,20 @@ def bound_map(doc: dict) -> PolyMap | None:
     spec = map_spec(label)
     if spec is None:
         return None
-    field = PrimeField(doc["p"])
+    (name, args), field = spec, PrimeField(doc["p"])
+    _, arities, build = MAP_LABELS[name]
     try:
-        m, N = map_arities(field.p, *spec)
-        pmap = parse_map_spec(field, label) if (m, N, N) == (doc["m"], doc["N"], len(doc["coords"])) else None
+        m, N = arities(field.p, *args)
+        pmap = build(field, *args) if (m, N, N) == (doc["m"], doc["N"], len(doc["coords"])) else None
     except ValueError as exc:
-        raise ValueError(f"label {label!r} names no {spec[0]} map: {exc}") from exc
+        raise ValueError(f"label {label!r} names no {name} map: {exc}") from exc
     if pmap is None or pmap.to_json_dict() != doc:
         raise ValueError(f"embedded map is not the {label} map")
     return pmap
 
 
 def parse_map_spec(field: PrimeField, text: str) -> PolyMap:
-    """Build a map from its label grammar, reading no files:
-
-    rank(n,r) | rigidity(n,r,k) | support(n,r,[i,j;...]) | tensor(n,d,r)
-    | sv(N,k) | universal(n,s,L,w)
+    """Build the map a label in MAP_GRAMMAR names, reading no files.
 
     support's positions are 1-indexed; universal(n,s,L,w) is the universal
     circuit map on n x n matrices with size budget s, depth L and width w.
@@ -340,18 +340,8 @@ def parse_map_spec(field: PrimeField, text: str) -> PolyMap:
     """
     spec = map_spec(text)
     if spec is None:
-        raise ValueError(f"cannot parse map spec {text!r}")
-    name, args = spec
-    if name == "rank":
-        return rank_map(field, *args)
-    if name == "rigidity":
-        return rigidity_map(RigidityParams(field, *args))
-    if name == "support":
-        return fixed_support_map(field, *args)
-    if name == "tensor":
-        return tensor_map(TensorParams(field, *args))
-    if name == "sv":
-        return sv_map(SVParams(field, *args))
-    from .lincircuit import universal_graph, universal_map  # lincircuit imports this module
+        raise ValueError(f"cannot parse map spec {text!r}; the grammar is {MAP_GRAMMAR}")
+    return MAP_LABELS[spec[0]][2](field, *spec[1])
 
-    return universal_map(universal_graph(field, *args))
+
+from . import lincircuit  # noqa: E402 -- last, as lincircuit imports this module

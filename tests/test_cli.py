@@ -12,7 +12,7 @@ import pytest
 import rigideq.generators as generators
 import rigideq.lincircuit as lincircuit
 from rigideq import AnnihilatorCertificate, MultiPoly, PolyMap, PrimeField, determinant_poly
-from rigideq.annihilator import MAX_RESAMPLE_ROUNDS
+from rigideq.annihilator import MAX_RESAMPLE_ROUNDS, SAMPLED_BYTE_CAP
 from rigideq.certify import verify_symbolic
 from rigideq.cli import build_parser, main
 
@@ -116,6 +116,22 @@ def test_solve_resource_refusal(capsys):
         == 3
     )
     assert "resource refusal" in capsys.readouterr().err
+
+
+def test_sampled_refusal_allocates_nothing(capsys):
+    """Sampled rigidity(3,1,1) at D=8 would be a 24326 x 24310 int64 matrix,
+    about 4.7 GB: it is refused (exit 3) with the estimate and the cap before
+    the basis is built or any point is drawn."""
+    build_parser()
+    tracemalloc.start()
+    try:
+        argv = ("solve", "--map", "rigidity(3,1,1)", "-p", "10007", "--mode", "sampled", "--dmin", "8", "--dmax", "8")
+        assert run(*argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert f"~{8 * 24326 * 24310} bytes > cap {SAMPLED_BYTE_CAP}" in capsys.readouterr().err
 
 
 def test_solve_deterministic_bytes(tmp_path):
@@ -500,7 +516,8 @@ def test_certify_builds_the_label_map_once_and_parses_no_map(tmp_path, rigidity_
     real = PolyMap.from_json_dict.__func__
     monkeypatch.setattr(PolyMap, "from_json_dict", classmethod(lambda cls, doc: parsed.append(doc) or real(cls, doc)))
     assert run("certify", "--in", str(matrix), "--cert", str(rigidity_cert_file)) == 0
-    assert called.count("parse_map_spec") == called.count("rigidity_map") == 1 and parsed == []
+    # bound_map builds from the label it has parsed: parse_map_spec is not called
+    assert called.count("rigidity_map") == 1 and called.count("parse_map_spec") == 0 and parsed == []
 
 
 def test_certificate_labels_must_be_strings(tmp_path, rigidity_cert_file, capsys):
@@ -642,10 +659,14 @@ def test_solve_verify_certify_by_label(tmp_path, capsys, spec, p, flags, matrix,
     ["solve", "--mode", "bogus"],
     ["solve", "--dmax", "x"],
     ["frobnicate"],
+    # conflicting flags: one used to be ignored, and the run went on (0)
+    ["oracle", "--in", "m.txt", "--rigid", "1,1", "--tensor-rank", "2"],
+    ["solve", "--map", "rank(2,1)", "-p", "101", "--in", "missing.json"],
 ])
 def test_usage_errors_exit_64(argv, capsys):
-    """A bad flag value or an unknown command is a usage error (64), as the
-    README says, not argparse's 2, which here means "no annihilator in range"."""
+    """A bad flag value, an unknown command or conflicting flags are a usage
+    error (64), as the README says, not argparse's 2, which here means "no
+    annihilator in range"."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 64
@@ -847,6 +868,10 @@ def test_oracle_refusal(tmp_path, capsys):
 
 
 def test_oracle_needs_mode_flag(tmp_path, capsys):
+    # a missing check flag is a usage error, not a verification failure (4)
     m = tmp_path / "m.txt"
     m.write_text("5 2 2\n1 0\n0 1\n")
-    assert run("oracle", "--in", str(m)) == 4
+    with pytest.raises(SystemExit) as exc:
+        run("oracle", "--in", str(m))
+    assert exc.value.code == 64
+    assert "one of the arguments --rigid --tensor-rank is required" in capsys.readouterr().err

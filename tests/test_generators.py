@@ -25,7 +25,7 @@ from rigideq import (
     universal_map,
 )
 from rigideq.cli import main
-from rigideq.generators import bound_map, map_arities, map_spec
+from rigideq.generators import MAP_LABELS, bound_map, map_spec
 from rigideq.oracle import DenseMatrix, DenseTensor, rank, tensor_rank_bruteforce
 
 
@@ -347,7 +347,7 @@ def test_parse_map_spec(f101):
             parse_map_spec(field, text)
 
 
-@pytest.mark.parametrize("build", [
+_EVERY_LABEL = [
     lambda F: rank_map(F, 3, 2),
     lambda F: rigidity_map(RigidityParams(F, 3, 1, 0)),
     lambda F: rigidity_map(RigidityParams(F, 2, 1, 2)),
@@ -356,15 +356,30 @@ def test_parse_map_spec(f101):
     lambda F: fixed_support_map(F, 3, 1, []),
     lambda F: fixed_support_map(F, 3, 0, [(2, 0), (0, 1), (1, 1)]),
     lambda F: universal_map(universal_graph(F, 2, 1, 1, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("build", _EVERY_LABEL)
 def test_every_label_builds_its_map(f101, build):
+    # the cases name every map of the label table
+    assert {map_spec(b(f101).label)[0] for b in _EVERY_LABEL} == set(MAP_LABELS)
     pmap = build(f101)
     assert parse_map_spec(f101, pmap.label) == pmap
     # builders that skip MultiPoly's checks build terms that pass them
     assert all(MultiPoly(f101, q.nvars, q.terms) == q for q in pmap.coordinates)
     # the closed-form arities that bind a certificate's label before any build
-    assert map_arities(f101.p, *map_spec(pmap.label)) == (pmap.in_arity, pmap.out_arity)
+    name, args = map_spec(pmap.label)
+    assert MAP_LABELS[name][1](f101.p, *args) == (pmap.in_arity, pmap.out_arity)
     assert bound_map(pmap.to_json_dict()) == pmap
+
+
+@pytest.mark.parametrize("name", sorted(MAP_LABELS))
+def test_map_spec_counts_the_arguments_of_each_name(name):
+    listed = ",[1,1]" if MAP_LABELS[name][0][-1].startswith("[") else ""
+    count = len(MAP_LABELS[name][0]) - bool(listed)
+    assert map_spec(f"{name}({','.join(['2'] * count)}{listed})") is not None
+    for wrong in (count - 1, count + 1):
+        assert map_spec(f"{name}({','.join(['2'] * wrong)}{listed})") is None, (name, wrong)
 
 
 def test_bound_map_refuses_other_maps_and_values(f101):
@@ -387,9 +402,10 @@ def test_bound_map_refuses_other_maps_and_values(f101):
 
 def test_tensor_arities_of_a_huge_order(f101):
     # n**d is never formed for a huge d: no document has 2**64 coordinates
-    m, N = map_arities(f101.p, "tensor", (2, 10**9, 1))
+    arities = MAP_LABELS["tensor"][1]
+    m, N = arities(f101.p, 2, 10**9, 1)
     assert m == 2 * 10**9 and N >= 2**64
-    assert map_arities(f101.p, "tensor", (1, 10**9, 1)) == (10**9, 1)
+    assert arities(f101.p, 1, 10**9, 1) == (10**9, 1)
 
 
 def test_support_file_comments(f101, tmp_path, monkeypatch):
