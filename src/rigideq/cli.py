@@ -141,8 +141,17 @@ def cmd_verify(args) -> int:
     if not ok:
         print("verification failed: nonzero PIT evaluation", file=sys.stderr)
         return EXIT_VERIFICATION
-    unchecked = "" if map_spec(cert.label) else f"; the label {cert.label!r} is not in the map grammar and was not checked"
-    print(f"certificate for {cert.label} verified (D={cert.degree}){unchecked}", file=sys.stderr)
+    checked = ["Q != 0", "Q o P = 0 exactly"]
+    if map_spec(cert.label):
+        checked.append("the map is its label's")
+        unchecked = ""
+    else:
+        unchecked = f"; the label {cert.label!r} is not in the map grammar and was not checked"
+    if args.trials:
+        checked.append(f"{args.trials} PIT trials")
+    carried = ", ".join(f"{k}={v}" for k, v in sorted(cert.verification.items()) if k != "symbolic_verified")
+    print(f"certificate for {cert.label} verified (D={cert.degree}): checked {', '.join(checked)}{unchecked}; "
+          f"solver claims carried, not checked: {carried}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ SV's from _sv_terms) and wraps them in _polymap; sv_input encodes SV inputs.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import islice, product
@@ -300,7 +301,7 @@ def map_spec(text: str) -> tuple[str, tuple] | None:
     try:
         args = tuple(int(a) for a in m[2].split(","))
         pairs = [pair.split(",") for pair in m[3].split(";")] if m[3] and m[3].strip() else []
-        positions = [(int(i) - 1, int(j) - 1) for i, j in pairs]
+        positions = tuple((int(i) - 1, int(j) - 1) for i, j in pairs)
     except ValueError:  # a word that is not an integer, or a pair that is not two
         return None
     listed = m[3] is not None
@@ -310,20 +311,34 @@ def map_spec(text: str) -> tuple[str, tuple] | None:
     return m[1], args + ((positions,) if listed else ())
 
 
+# The most labelled maps one process keeps built (_label_map): certify and
+# verify bind every certificate to its label's map, and a solve builds one.
+LABEL_MAP_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=LABEL_MAP_CACHE_SIZE)
+def _label_map(p: int, name: str, args: tuple) -> PolyMap:
+    """The map of a parsed label over F_p, built once while it is among the
+    LABEL_MAP_CACHE_SIZE most recently used. lru_cache keeps only a build
+    that returned: a builder that raises leaves nothing behind."""
+    return MAP_LABELS[name][2](PrimeField(p), *args)
+
+
 def bound_map(doc: dict) -> PolyMap | None:
     """The map a serialized map's label names, once doc is exactly its JSON;
     None for a label outside the grammar. Its arities must fit doc's m, N and
-    coordinates before it is built, once; then only canonical values compare
-    equal. As 1 == 1.0 == True, the caller keeps floats and bools out of doc."""
+    coordinates before it is built or taken from this process's built maps
+    (_label_map); then it is compared with doc at every call, and only
+    canonical values compare equal. As 1 == 1.0 == True, the caller keeps
+    floats and bools out of doc."""
     label = doc["label"]
     spec = map_spec(label)
     if spec is None:
         return None
     (name, args), field = spec, PrimeField(doc["p"])
-    _, arities, build = MAP_LABELS[name]
     try:
-        m, N = arities(field.p, *args)
-        pmap = build(field, *args) if (m, N, N) == (doc["m"], doc["N"], len(doc["coords"])) else None
+        m, N = MAP_LABELS[name][1](field.p, *args)
+        pmap = _label_map(field.p, name, args) if (m, N, N) == (doc["m"], doc["N"], len(doc["coords"])) else None
     except ValueError as exc:
         raise ValueError(f"label {label!r} names no {name} map: {exc}") from exc
     if pmap is None or pmap.to_json_dict() != doc:
@@ -332,7 +347,9 @@ def bound_map(doc: dict) -> PolyMap | None:
 
 
 def parse_map_spec(field: PrimeField, text: str) -> PolyMap:
-    """Build the map a label in MAP_GRAMMAR names, reading no files.
+    """The map a label in MAP_GRAMMAR names, reading no files: built once per
+    process while it is among the last few used (_label_map), so labels that
+    parse alike, " rank( 2, 1 ) " and "rank(2,1)", give the same object.
 
     support's positions are 1-indexed; universal(n,s,L,w) is the universal
     circuit map on n x n matrices with size budget s, depth L and width w.
@@ -341,7 +358,7 @@ def parse_map_spec(field: PrimeField, text: str) -> PolyMap:
     spec = map_spec(text)
     if spec is None:
         raise ValueError(f"cannot parse map spec {text!r}; the grammar is {MAP_GRAMMAR}")
-    return MAP_LABELS[spec[0]][2](field, *spec[1])
+    return _label_map(field.p, *spec)
 
 
 from . import lincircuit  # noqa: E402 -- last, as lincircuit imports this module

@@ -76,8 +76,11 @@ def is_rigid_bruteforce(matrix: DenseMatrix, r: int, s: int, cost_ceiling: int =
     """True iff no sparse change of <= s entries brings the rank down to <= r.
 
     Exhausts every support of size <= s (colex order) and every assignment of
-    nonzero values on it; tiny instances only.
+    nonzero values on it; tiny instances only. A negative budget is refused:
+    no change has fewer than 0 entries and no rank is below 0.
     """
+    if r < 0 or s < 0:
+        raise ValueError(f"need rank and sparsity budgets >= 0, got r={r}, s={s}")
     F = matrix.field
     cells = matrix.rows * matrix.cols
     cost = sum(math.comb(cells, t) * (F.p - 1) ** t for t in range(min(s, cells) + 1))
@@ -113,7 +116,10 @@ def tensor_rank_bruteforce(tensor: DenseTensor, r_max: int, cost_ceiling: int = 
     Pruning: the first axis vector of each term is normalized to have leading
     coordinate 1 (scale freedom moves into the last axis), and zero vectors
     are excluded (a zero factor reduces to smaller rank, already tested).
+    A negative r_max is refused: every tensor has rank >= 0.
     """
+    if r_max < 0:
+        raise ValueError(f"need a rank bound >= 0, got {r_max}")
     F, n, d = tensor.field, tensor.n, tensor.d
     p = F.p
     if all(v == 0 for v in tensor.entries):

@@ -702,6 +702,26 @@ class PolyMap:
             out[start:start + step, nonempty] = np.add.reduceat(values, offsets[nonempty], axis=1) % p
         return out
 
+    @functools.cached_property
+    def _top(self) -> list[int]:
+        """The largest exponent of each variable."""
+        exps = [e for q in self.coordinates for e in q.terms]
+        return list(map(max, zip((0,) * self.in_arity, *exps)))
+
+    def _packed_coordinates(self, degree: int) -> tuple["_Layout", list[dict]]:
+        """(layout, coords): a _Layout whose keys hold every image of a
+        monomial of degree at most ``degree``, and each coordinate as a
+        {key: coefficient} dict in it. The last pair made is kept on the map,
+        as _top is, outside its fields (so not compared, printed or copied by
+        replace), and is reused while the layout is the same: every
+        composition with one map packs its coordinates once."""
+        layout = _Layout(self.field.p, [degree * x for x in self._top])
+        packed = self.__dict__.get("_packed")
+        if packed is None or packed[0].bits != layout.bits:
+            packed = layout, [{layout.key(e): c for e, c in q.terms.items()} for q in self.coordinates]
+            object.__setattr__(self, "_packed", packed)
+        return packed
+
     def to_json_dict(self) -> dict:
         return {
             "p": self.field.p,
@@ -784,11 +804,9 @@ def _image_levels(monomials: Sequence[tuple], pmap: PolyMap) -> tuple[_Layout, l
     per degree: a degree's images are a list of {key: coefficient} dicts
     while every degree is made in dicts, a _Packed from the first that takes
     the sort on. The keys are wide enough for every image up to the degree
-    of the last monomial."""
-    exps = [e for q in pmap.coordinates for e in q.terms]
-    top = map(max, zip((0,) * pmap.in_arity, *exps))  # the largest exponent of each variable
-    layout = _Layout(pmap.field.p, [sum(monomials[-1]) * x for x in top])
-    coords = [{layout.key(e): c for e, c in q.terms.items()} for q in pmap.coordinates]
+    of the last monomial; pmap's coordinates are packed in them once per
+    map and layout (PolyMap._packed_coordinates)."""
+    layout, coords = pmap._packed_coordinates(sum(monomials[-1]))
     levels = list(monomial_images(monomials, [{0: 1}], lambda images, parents, variables:
                                   _products(images, coords, parents, variables, layout)))
     return layout, levels

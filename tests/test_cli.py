@@ -381,9 +381,13 @@ def test_certify_refuses_a_relabelled_universal_map(tmp_path, capsys):
 
 
 def test_verify_good_and_bad(tmp_path, rigidity_cert_file, capsys):
+    # the line says what was checked, and which solver claims were only carried
+    carried = "solver claims carried, not checked: kernel_dim=1, rows="
     assert run("verify", "--cert", str(rigidity_cert_file)) == 0
+    err = capsys.readouterr().err
+    assert "verified (D=2): checked Q != 0, Q o P = 0 exactly, the map is its label's; " + carried in err
     assert run("verify", "--cert", str(rigidity_cert_file), "--trials", "10") == 0
-    capsys.readouterr()
+    assert "the map is its label's, 10 PIT trials; " + carried in capsys.readouterr().err
     # a negative trial count used to print (d/p)^-3 and verify
     assert run("verify", "--cert", str(rigidity_cert_file), "--trials", "-3") == 64
     err = capsys.readouterr().err
@@ -469,7 +473,10 @@ def test_verify_refuses_a_map_that_is_not_its_label(tmp_path, capsys):
 
 
 def _spy_builders(monkeypatch):
-    """Names of the map builders called from now on, in call order."""
+    """Names of the map builders called from now on, in call order. The
+    process's built label maps are dropped first, so that what a test sees
+    built never depends on the tests that ran before it."""
+    generators._label_map.cache_clear()
     called = []
     for module, names in ((generators, ("parse_map_spec", "rank_map", "rigidity_map", "fixed_support_map",
                                         "tensor_map", "sv_map")),
@@ -518,6 +525,42 @@ def test_certify_builds_the_label_map_once_and_parses_no_map(tmp_path, rigidity_
     assert run("certify", "--in", str(matrix), "--cert", str(rigidity_cert_file)) == 0
     # bound_map builds from the label it has parsed: parse_map_spec is not called
     assert called.count("rigidity_map") == 1 and called.count("parse_map_spec") == 0 and parsed == []
+    # the next certify in this process binds to the map already built
+    assert run("certify", "--in", str(matrix), "--cert", str(rigidity_cert_file)) == 0
+    assert called == ["rigidity_map"] and parsed == []
+
+
+def test_the_built_label_map_is_never_poisoned(tmp_path, rigidity_cert_file, capsys):
+    """certify and verify in one process share the label's built map: a map
+    with one coefficient changed and a Q with Q o P != 0, run between two
+    honest runs, are still refused, and the second honest run gives the
+    first's exits, messages and bytes."""
+    matrix, out = tmp_path / "m.txt", tmp_path / "out.json"
+    matrix.write_text("5 2 2\n1 0\n0 1\n")
+    doc = json.loads(rigidity_cert_file.read_text())
+    doc["map"]["coords"][0]["terms"][0]["c"] = 2  # a residue mod 5, not the label's 1
+    forged_map = tmp_path / "forged-map.json"
+    forged_map.write_text(json.dumps(doc))
+    doc = json.loads(rigidity_cert_file.read_text())
+    doc["Q"]["terms"][0]["c"] = (doc["Q"]["terms"][0]["c"] + 1) % 5 or 1
+    forged_q = tmp_path / "forged-q.json"
+    forged_q.write_text(json.dumps(doc))
+
+    def both(cert):
+        codes = (run("certify", "--in", str(matrix), "--cert", str(cert), "--out", str(out)),
+                 run("verify", "--cert", str(cert), "--trials", "3"))
+        return codes, capsys.readouterr().err
+
+    capsys.readouterr()
+    honest = both(rigidity_cert_file)
+    certified = out.read_bytes()
+    assert honest[0] == (0, 0)
+    for forged, why in ((forged_map, "embedded map is not the rigidity(2,1,0) map"),
+                        (forged_q, "failed symbolic re-verification")):
+        codes, err = both(forged)
+        assert codes == (4, 4) and why in err, (forged, err)
+    assert both(rigidity_cert_file) == honest
+    assert out.read_bytes() == certified
 
 
 def test_certificate_labels_must_be_strings(tmp_path, rigidity_cert_file, capsys):
@@ -552,7 +595,9 @@ def test_a_label_outside_the_grammar_is_reported_unchecked(tmp_path, capsys):
     assert run("solve", "--in", str(mapfile), "--dmax", "2", "--out", str(cert)) == 0
     capsys.readouterr()
     assert run("verify", "--cert", str(cert)) == 0
-    assert "the label 'my 2x2 rank-1 map' is not in the map grammar and was not checked" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the label 'my 2x2 rank-1 map' is not in the map grammar and was not checked" in err
+    assert "checked Q != 0, Q o P = 0 exactly; the label" in err and "its label's" not in err
     matrix = tmp_path / "m.txt"
     matrix.write_text("101 2 2\n1 0\n0 1\n")
     assert run("certify", "--in", str(matrix), "--cert", str(cert)) == 4
@@ -848,6 +893,19 @@ def test_oracle_rigid(tmp_path, capsys):
     m.write_text("101 2 2\n1 0\n0 1 7 7\n")
     assert run("oracle", "--in", str(m), "--rigid", "1,0") == 64
     assert "6 entries for a 2x2 matrix" in capsys.readouterr().err
+
+
+def test_oracle_negative_budgets_are_usage_errors(tmp_path, capsys):
+    # --rigid=-1,-1 and --rigid=0,-3 used to print "(r,s)-rigid" and exit 0,
+    # --tensor-rank=-2 "tensor rank > -2" and exit 1
+    m, t = tmp_path / "m.txt", tmp_path / "t.txt"
+    m.write_text("101 2 2\n1 0\n0 1\n")
+    t.write_text("3 2 3\n1 0 0 0 0 0 0 1\n")
+    for argv in ((m, "--rigid=-1,-1"), (m, "--rigid=0,-3"), (m, "--rigid=-1,0"), (t, "--tensor-rank=-2")):
+        capsys.readouterr()
+        assert run("oracle", "--in", str(argv[0]), argv[1]) == 64, argv
+        out, err = capsys.readouterr()
+        assert out == "" and ">= 0" in err, argv
 
 
 def test_oracle_tensor(tmp_path, capsys):

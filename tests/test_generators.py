@@ -25,7 +25,7 @@ from rigideq import (
     universal_map,
 )
 from rigideq.cli import main
-from rigideq.generators import MAP_LABELS, bound_map, map_spec
+from rigideq.generators import LABEL_MAP_CACHE_SIZE, MAP_LABELS, _label_map, bound_map, map_spec
 from rigideq.oracle import DenseMatrix, DenseTensor, rank, tensor_rank_bruteforce
 
 
@@ -333,7 +333,7 @@ def test_parse_map_spec(f101):
     pmap = parse_map_spec(f101, "support(3,1,[3,3;1,2])")
     assert pmap == fixed_support_map(f101, 3, 1, [(0, 1), (2, 2)])
     assert pmap.label == "support(3,1,[1,2;3,3])"
-    assert parse_map_spec(f101, " rank( 2, 1 ) ").label == "rank(2,1)"
+    assert parse_map_spec(f101, " rank( 2, 1 ) ") is parse_map_spec(f101, "rank(2,1)")
     for text in ("frobnicate(1)", "rank(2)", "rank(2,x)", "universal(2,1,1)", "support(3,1)",
                  "support(3,1,[1,2;3])", "support(3,1,[1,2,3])", "support(3,1,1,2)", "rank(2,1"):
         assert map_spec(text) is None, text
@@ -398,6 +398,25 @@ def test_bound_map_refuses_other_maps_and_values(f101):
             bound_map(forged)
     with pytest.raises(TypeError):
         bound_map(dict(doc, label=5))
+
+
+def test_label_maps_are_kept_once_built_and_bounded(f101):
+    """A process keeps at most LABEL_MAP_CACHE_SIZE built label maps, the
+    most recently used, and never a build that raised."""
+    _label_map.cache_clear()
+    for text in ("rank(2,3)", "support(2,1,[1,1;1,1])"):  # in the grammar; the builder refuses them
+        with pytest.raises(ValueError):
+            parse_map_spec(f101, text)
+    with pytest.raises(ValueError, match="names no rank map"):
+        bound_map({"p": 101, "m": 12, "N": 4, "label": "rank(2,3)", "coords": [{}] * 4})
+    assert _label_map.cache_info().currsize == 0
+    first = parse_map_spec(f101, "sv(2,1)")
+    assert bound_map(first.to_json_dict()) is first
+    for N in range(3, LABEL_MAP_CACHE_SIZE + 4):
+        parse_map_spec(f101, f"sv({N},1)")
+    assert _label_map.cache_info().currsize == _label_map.cache_info().maxsize == LABEL_MAP_CACHE_SIZE
+    again = parse_map_spec(f101, "sv(2,1)")
+    assert again is not first and again == first
 
 
 def test_tensor_arities_of_a_huge_order(f101):

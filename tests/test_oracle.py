@@ -56,6 +56,9 @@ def test_is_rigid_examples():
     zero = DenseMatrix(F2, 2, 2, (0, 0, 0, 0))
     assert is_rigid_bruteforce(zero, 1, 0) is False
     assert is_rigid_bruteforce(zero, 0, 0) is False
+    for r, s in ((-1, -1), (0, -3), (-1, 0)):  # these used to return True
+        with pytest.raises(ValueError, match="budgets >= 0"):
+            is_rigid_bruteforce(i2, r, s)
 
 
 def test_is_rigid_constructed_nonrigid(f5):
@@ -85,6 +88,8 @@ def test_tensor_rank_examples():
     F3 = PrimeField(3)
     zero = DenseTensor(F3, 2, 3, (0,) * 8)
     assert tensor_rank_bruteforce(zero, 2) == 0
+    with pytest.raises(ValueError, match="rank bound >= 0"):
+        tensor_rank_bruteforce(zero, -2)
     e111 = DenseTensor(F3, 2, 3, (1, 0, 0, 0, 0, 0, 0, 0))
     assert tensor_rank_bruteforce(e111, 2) == 1
     # e1^3 + e2^3: entries at (1,1,1) and (2,2,2)

@@ -4,7 +4,10 @@ import math
 import operator
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -489,6 +492,60 @@ def _rank1_map_2x2(field):
         for j in range(2):
             coords.append(MultiPoly(field, 4, {tuple(1 if t in (i, 2 + j) else 0 for t in range(4)): 1}))
     return PolyMap(field, 4, tuple(coords), label="rank1")
+
+
+def test_compose_packs_a_maps_coordinates_once_per_layout(f101, monkeypatch):
+    """Compositions with one map object reuse its coordinates as packed for
+    the last key layout; one that needs other keys packs them again. Every
+    result equals the composition with a fresh copy of the map, which equals
+    the map: the packed coordinates are not one of its fields."""
+    rng = random.Random("poly:packed-once")
+    pmap = random_map(rng, f101, 3, 4, 3)
+    keys, real_key = [], poly._Layout.key
+    monkeypatch.setattr(poly._Layout, "key", lambda self, e: keys.append(e) or real_key(self, e))
+    terms, packs = sum(map(len, pmap.coordinates)), []
+    for D in (2, 2, 8, 2):  # a degree-8 image needs two more bits for each exponent
+        q = random_poly(rng, f101, 4, D) + MultiPoly(f101, 4, {(D, 0, 0, 0): 1})
+        fresh = replace(pmap)
+        want = poly_compose(q, fresh)
+        before = len(keys)
+        assert poly_compose(q, pmap) == want
+        packs.append((len(keys) - before) / terms)
+    assert packs == [1, 0, 1, 1]
+    assert fresh == pmap and hash(fresh) == hash(pmap) and repr(fresh) == repr(pmap)
+
+
+def test_compose_shares_a_map_between_threads(f101):
+    """Threads composing with one map at alternating key layouts each get
+    their own q's composition: a layout and its packed coordinates are
+    stored and read as one pair."""
+    rng = random.Random("poly:packed-threads")
+    pmap = random_map(rng, f101, 3, 4, 3)
+    qs = [random_poly(rng, f101, 4, D) + MultiPoly(f101, 4, {(D, 0, 0, 0): 1}) for D in (1, 2, 6, 3)]
+    want = [poly_compose(q, replace(pmap)) for q in qs]
+    wrong = []
+
+    def work(i):
+        try:
+            for _ in range(60):
+                for j in range(len(qs)):
+                    k = (i + j) % len(qs)
+                    if poly_compose(qs[k], pmap) != want[k]:
+                        wrong.append(k)
+        except Exception as exc:  # a thread's exception would not fail the test
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 def test_compose_det2_with_rank1_is_zero(f101):
